@@ -83,6 +83,15 @@ type System struct {
 	writeBuf    []sim.Cycle
 	writeBufCap int
 
+	// Scratch results for Organization.AccessInto. A local passed as &res
+	// escapes through the interface call and costs one heap allocation
+	// per access, so the demand path writes into these fields instead.
+	// readBelow and writeBelow never nest (fills go through the engine
+	// and call Fill, not AccessInto), so each needs only one; warm, which
+	// discards access timing, reuses writeRes.
+	readRes  dramcache.AccessResult
+	writeRes dramcache.AccessResult
+
 	ran bool
 }
 
@@ -301,8 +310,10 @@ func (s *System) publishMetrics() {
 // without advancing time, then clears all timing state and statistics so
 // measurement starts from warm contents and cold clocks. It checks ctx
 // periodically so long warmups cancel as promptly as the measured phase.
+//
+//alloyvet:hotpath
 func (s *System) warm(ctx context.Context) error {
-	var wr dramcache.AccessResult // scratch: warmup discards access timing
+	wr := &s.writeRes // scratch: warmup discards access timing
 	for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
 		if n&0xfff == 0 {
 			if err := ctx.Err(); err != nil {
@@ -318,7 +329,7 @@ func (s *System) warm(ctx context.Context) error {
 			// only, and an L2 victim writeback installs no new line below.
 			if ref.Write {
 				if !s.l3.Probe(ref.Line, true) && s.org != nil {
-					s.org.AccessInto(0, ref.Line, true, &wr)
+					s.org.AccessInto(0, ref.Line, true, wr)
 				}
 				continue
 			}
@@ -328,9 +339,9 @@ func (s *System) warm(ctx context.Context) error {
 			}
 			if s.org != nil {
 				if ev.Valid && ev.Dirty {
-					s.org.AccessInto(0, ev.Line, true, &wr)
+					s.org.AccessInto(0, ev.Line, true, wr)
 				}
-				s.org.AccessInto(0, ref.Line, false, &wr)
+				s.org.AccessInto(0, ref.Line, false, wr)
 			}
 		}
 	}
@@ -467,8 +478,8 @@ func (s *System) readBelow(t0 sim.Cycle, core int, pc uint64, line memaddr.Line)
 
 	predHit, predLat := s.pred.Predict(core, pc, line)
 	t1 := t0 + predLat
-	var res dramcache.AccessResult
-	s.org.AccessInto(t1, line, false, &res)
+	res := &s.readRes
+	s.org.AccessInto(t1, line, false, res)
 
 	var dataAt sim.Cycle
 	var m dram.Result
@@ -512,7 +523,7 @@ func (s *System) readBelow(t0 sim.Cycle, core int, pc uint64, line memaddr.Line)
 		}
 	}
 	if tid != 0 {
-		s.traceRead(tid, core, uint64(line), t0, t1, dataAt, memStart, predHit, &res, &m, usedMem)
+		s.traceRead(tid, core, uint64(line), t0, t1, dataAt, memStart, predHit, res, &m, usedMem)
 	}
 	s.pred.Update(core, pc, line, res.Hit)
 	s.acc.Record(predHit, res.Hit)
@@ -521,6 +532,8 @@ func (s *System) readBelow(t0 sim.Cycle, core int, pc uint64, line memaddr.Line)
 
 // writeBelow services write traffic below the L3 (L3 writebacks and
 // forwarded write misses). Writes always use the serial model (§5.3).
+//
+//alloyvet:hotpath
 func (s *System) writeBelow(t sim.Cycle, line memaddr.Line) {
 	s.belowWrites.Inc()
 	if s.org == nil {
@@ -529,8 +542,8 @@ func (s *System) writeBelow(t sim.Cycle, line memaddr.Line) {
 		s.noteWrite(r.Done)
 		return
 	}
-	var res dramcache.AccessResult
-	s.org.AccessInto(t, line, true, &res)
+	res := &s.writeRes
+	s.org.AccessInto(t, line, true, res)
 	if res.Hit {
 		s.noteWrite(res.DataReady)
 		return
@@ -539,6 +552,3 @@ func (s *System) writeBelow(t sim.Cycle, line memaddr.Line) {
 	s.mem.AccessLineInto(res.TagKnown, line, true, &r)
 	s.noteWrite(r.Done)
 }
-
-// Debug instrumentation for miss-path decomposition (tests only).
-var _ = 0

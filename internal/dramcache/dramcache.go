@@ -78,6 +78,12 @@ type Organization interface {
 	// first). The simulation hot path uses this form: AccessResult is
 	// large enough that returning it by value costs a measurable copy
 	// per demand access.
+	//
+	// Caller contract: r must point to storage that outlives the call,
+	// such as a struct field. The compiler cannot see through an
+	// interface call, so a local passed as &res escapes and costs one
+	// heap allocation per access (core.System keeps its scratch results
+	// as fields for this reason).
 	AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult)
 	// Fill models the DRAM traffic of installing a line after its memory
 	// response arrives at cycle now. Contents were already reserved by the

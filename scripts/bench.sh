@@ -9,7 +9,10 @@
 # The set covers the two figure benchmarks the ROADMAP tracks (Fig4, Fig9),
 # the sharded-front-end variants of Fig9 (Shards2/4/8 — same results, the
 # wall-time delta is the point), the raw simulator-throughput benchmark,
-# and the engine micro-benchmarks (which must stay at 0 allocs/op).
+# the engine micro-benchmarks, and one benchmark per layer a demand access
+# crosses (trace generator, L3/LH tag stores, each DRAM-cache organization,
+# each predictor, both DRAM devices). Engine and layer benchmarks must
+# stay at 0 allocs/op.
 # Numbers land in BENCH_sim.json next to the labels recorded by earlier
 # PRs, so the perf trajectory is diffable.
 set -euo pipefail
@@ -23,4 +26,9 @@ BENCHTIME="${BENCHTIME:-1x}"
     -benchmem -benchtime "$BENCHTIME" -timeout 30m .
   go test -run '^$' -bench 'BenchmarkSchedule|BenchmarkEngineMixed' \
     -benchmem -benchtime 1s ./internal/sim
+  # -cpu 2 pins the -N suffix that benchjson strips from names, so a
+  # sub-benchmark whose own name ends in a number (BenchmarkOrg/alloy-2)
+  # keeps it on any host.
+  go test -run '^$' -bench 'BenchmarkTraceGen|BenchmarkCacheAccess|BenchmarkOrg|BenchmarkPredictor|BenchmarkDRAMAccess' \
+    -benchmem -benchtime 1s -cpu 2 ./internal/trace ./internal/cache ./internal/dramcache ./internal/predictor ./internal/dram
 } | go run ./scripts/benchjson -label "$LABEL" -out BENCH_sim.json

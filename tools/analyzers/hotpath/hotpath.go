@@ -25,8 +25,12 @@
 // compiler deletes the guarded code and nothing in it can allocate at
 // runtime.
 //
-// The check is intraprocedural: callees are only checked if they carry the
-// annotation themselves.
+// The check is syntactic and intraprocedural: callees are only checked if
+// they carry the annotation themselves, and an escape the syntax does not
+// show — a local whose address is passed to an interface method, say — is
+// invisible to it. The compiler's escape analysis is the ground truth for
+// those: scripts/escapegate runs `go build -gcflags=-m` over the model
+// packages and fails on any "moved to heap" inside an annotated function.
 //
 // Two method families are implicitly hot, annotation or not: the Sample
 // methods of obs.TimeSeries and obs.FlightRecorder. They run once per
