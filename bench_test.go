@@ -31,22 +31,7 @@ func benchParams() experiments.Params {
 // benchExperiment runs one registered experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	benchExperimentParams(b, id, benchParams())
-}
-
-// benchExperimentShards runs one experiment with the decoupled front-end
-// at a fixed worker count. Results are bit-identical to the serial
-// variant by construction (DESIGN.md §12); only wall time may differ, and
-// only when spare hardware threads exist to run the workers on.
-func benchExperimentShards(b *testing.B, id string, shards int) {
-	b.Helper()
 	p := benchParams()
-	p.Shards = shards
-	benchExperimentParams(b, id, p)
-}
-
-func benchExperimentParams(b *testing.B, id string, p experiments.Params) {
-	b.Helper()
 	e, ok := experiments.ByID(id)
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
@@ -90,14 +75,6 @@ func BenchmarkTable5(b *testing.B) { benchExperiment(b, "table5") }
 
 // BenchmarkFig9 regenerates Figure 9 (cache-size sensitivity, 64MB-1GB).
 func BenchmarkFig9(b *testing.B) { benchExperiment(b, "fig9") }
-
-// BenchmarkFig9Shards* rerun Figure 9 with the sharded front-end; the
-// ledger records them next to the serial number so the parallel speedup
-// (or, on a single hardware thread, the coordination overhead) is
-// diffable per machine.
-func BenchmarkFig9Shards2(b *testing.B) { benchExperimentShards(b, "fig9", 2) }
-func BenchmarkFig9Shards4(b *testing.B) { benchExperimentShards(b, "fig9", 4) }
-func BenchmarkFig9Shards8(b *testing.B) { benchExperimentShards(b, "fig9", 8) }
 
 // BenchmarkFig10 regenerates Figure 10 (average hit latency per workload).
 func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10") }

@@ -82,7 +82,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		baseline  = flag.Bool("baseline", false, "also run the no-cache baseline and report speedup")
 		footprint = flag.Bool("footprint", false, "track unique lines touched")
-		shards    = flag.Int("shards", 0, "front-end worker goroutines (0 = auto: min(GOMAXPROCS, stacked channels); 1 = serial; results are identical for every value)")
 		traceDir  = flag.String("tracedir", "", "replay core%d.trace files from this directory instead of synthetic generators")
 		timeout   = flag.Duration("timeout", 0, "abort the simulation after this wall time (0 = none)")
 		confIn    = flag.String("config", "", "load the full configuration from a JSON file (other flags are ignored)")
@@ -168,22 +167,6 @@ func main() {
 			os.Exit(1)
 		}
 		cfg.Generators = gens
-	}
-
-	// Front-end sharding: an explicit -shards wins over a loaded config;
-	// otherwise 0 resolves to the machine-derived default. Results are
-	// bit-identical either way (core.Config.Shards).
-	shardsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			shardsSet = true
-		}
-	})
-	if shardsSet {
-		cfg.Shards = *shards
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = cfg.DefaultShards()
 	}
 
 	// Ctrl-C / SIGTERM and -timeout cancel the simulation between engine

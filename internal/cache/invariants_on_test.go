@@ -48,11 +48,11 @@ func TestValidMaskOverflowPanics(t *testing.T) {
 // the neighboring set's tags, not in a bounds panic.
 type rogueVictim struct{}
 
-func (rogueVictim) Touch(set, way int) {}
+func (rogueVictim) Touch(set, way int)  {}
 func (rogueVictim) Insert(set, way int) {}
-func (rogueVictim) Victim(set int) int { return 99 }
-func (rogueVictim) Miss(set int)       {}
-func (rogueVictim) Name() string       { return "rogue" }
+func (rogueVictim) Victim(set int) int  { return 99 }
+func (rogueVictim) Miss(set int)        {}
+func (rogueVictim) Name() string        { return "rogue" }
 
 func TestVictimOutOfRangePanics(t *testing.T) {
 	c := MustNew(Config{Sets: 4, Assoc: 1})

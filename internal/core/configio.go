@@ -19,6 +19,10 @@ type configJSON struct {
 	Config
 	// Shadow the unserializable field.
 	Generators interface{} `json:"Generators,omitempty"`
+	// Accept and ignore the key of an execution knob that earlier
+	// versions serialized (it never affected results), so their saved
+	// configs still load under DisallowUnknownFields.
+	Removed interface{} `json:"Shards,omitempty"`
 }
 
 // SaveConfig writes the configuration as indented JSON.
@@ -46,14 +50,11 @@ func LoadConfig(r io.Reader) (Config, error) {
 }
 
 // Fingerprint returns a short stable hash over the run-defining
-// parameters. Generators (runtime state) and Shards (an execution knob —
-// results are bit-identical for every front-end arrangement) are excluded,
-// so the same simulation fingerprints identically however it was run. Run
-// manifests record it so any results file can be matched against the
-// exact configuration that produced it.
+// parameters. Generators (runtime state) are excluded. Run manifests
+// record it so any results file can be matched against the exact
+// configuration that produced it.
 func (c Config) Fingerprint() string {
 	c.Generators = nil
-	c.Shards = 0
 	data, err := json.Marshal(configJSON{Config: c})
 	if err != nil {
 		// Config is plain data; Marshal cannot fail on it.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"alloysim/internal/dram"
 	"alloysim/internal/dramcache"
 	"alloysim/internal/obs"
@@ -35,63 +33,19 @@ func (s *System) EnableObservability(reg *obs.Registry, trc *obs.Tracer) {
 	reg.RegisterHistogram("hit_latency_cycles", "DRAM-cache hit latency from L3-miss detection", s.hitLatHist)
 	reg.RegisterHistogram("miss_latency_cycles", "DRAM-cache miss latency from L3-miss detection", s.missLatHist)
 	reg.RegisterGaugeFunc("read_latency_mean_cycles", "mean latency of reads serviced below the L3", func() float64 { return s.readLat.Value() })
-	s.registerFrontEndMetrics(reg)
 	// Publish the t=0 snapshot now, while nothing is running: from here
 	// on, debug-server scrapes serve rendered snapshots (refreshed
 	// between quanta by RunContext) instead of racing live fields.
 	reg.PublishSnapshot()
 }
 
-// registerFrontEndMetrics exposes the sharded front-end's per-worker
-// counters. The closures read worker-owned fields, so dump only after the
-// run — which is when the CLIs dump. The series quantify load balance
-// (records per shard) and backpressure (ring-full stalls); none of them
-// feed back into the simulation.
-func (s *System) registerFrontEndMetrics(reg *obs.Registry) {
-	if s.cfg.effectiveShards() <= 1 {
-		return
-	}
-	reg.RegisterCounterFunc("frontend_refs_total", "front-end records produced across shards", func() uint64 {
-		var t uint64
-		for i := range s.frontStats {
-			t += s.frontStats[i].Refs
-		}
-		return t
-	})
-	reg.RegisterCounterFunc("frontend_ring_stalls_total", "pushes deferred on full per-core rings", func() uint64 {
-		var t uint64
-		for i := range s.frontStats {
-			t += s.frontStats[i].Stalls
-		}
-		return t
-	})
-	for i := 0; i < s.cfg.effectiveShards(); i++ {
-		i := i
-		p := fmt.Sprintf("frontend_shard%d", i)
-		reg.RegisterCounterFunc(p+"_refs_total", "front-end records produced by this shard", func() uint64 {
-			if i < len(s.frontStats) {
-				return s.frontStats[i].Refs
-			}
-			return 0
-		})
-		reg.RegisterCounterFunc(p+"_ring_stalls_total", "pushes this shard deferred on full rings", func() uint64 {
-			if i < len(s.frontStats) {
-				return s.frontStats[i].Stalls
-			}
-			return 0
-		})
-	}
-}
-
 // EnableTimeSeries attaches a phase time-series sampler. Call it after
 // NewSystem and before Run; RunContext samples the registered columns at
-// epoch 0, at every cancelQuantum boundary, and once at drain. Only
-// engine-goroutine-owned counters are registered — never the sharded
-// front-end's worker-owned stats — which is what makes the exported
-// series byte-identical across -shards counts: the engine replay is
-// bit-identical at every quantum boundary regardless of worker count.
-// Like EnableObservability, registration captures read-back closures
-// only; simulation results are unchanged.
+// epoch 0, at every cancelQuantum boundary, and once at drain. Sampling
+// happens at fixed engine cycles, so the exported series is byte-identical
+// across runs of the same configuration. Like EnableObservability,
+// registration captures read-back closures only; simulation results are
+// unchanged.
 func (s *System) EnableTimeSeries(ts *obs.TimeSeries) {
 	if ts == nil {
 		return

@@ -32,13 +32,8 @@ type System struct {
 	mem     *dram.DRAM
 	stacked *dram.DRAM
 	gens    []trace.Generator
-	srcs    []cpu.RefSource // per-core front-ends (see frontend.go)
+	srcs    []*directSource // per-core front-ends
 	cores   []*cpu.Core
-
-	// frontStats holds per-shard front-end counters in sharded mode
-	// (len == effectiveShards when > 1, nil in serial mode). Operational
-	// only: read by metric dumps after the run.
-	frontStats []frontShardStats
 
 	// Measured statistics (reset after warmup).
 	readLat        stats.Mean       // latency of reads serviced below the L3
@@ -63,11 +58,9 @@ type System struct {
 	reg *obs.Registry
 
 	// ts samples phase time-series columns at epoch boundaries and fr is
-	// the always-on flight recorder ring; both nil when disabled, both
-	// sampled only from the engine goroutine at quantum boundaries
-	// (sampleTelemetry), and both restricted to engine-owned counters so
-	// sharded runs export identical series. Set via EnableTimeSeries /
-	// EnableFlightRecorder.
+	// the always-on flight recorder ring; both nil when disabled and both
+	// sampled only at quantum boundaries (sampleTelemetry). Set via
+	// EnableTimeSeries / EnableFlightRecorder.
 	ts *obs.TimeSeries
 	fr *obs.FlightRecorder
 
@@ -93,6 +86,37 @@ type System struct {
 	writeRes dramcache.AccessResult
 
 	ran bool
+}
+
+// directSource is a core's front-end: it advances the trace generator and
+// then the private L2 (nil when the configuration has none) by one
+// reference each time the core asks for one.
+type directSource struct {
+	gen trace.Generator
+	l2  *cache.Cache
+}
+
+// NextRef implements cpu.RefSource.
+//
+//alloyvet:hotpath
+func (d *directSource) NextRef() cpu.FrontRef {
+	ref := d.gen.Next()
+	fr := cpu.FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
+	if d.l2 == nil {
+		return fr
+	}
+	if ref.Write {
+		// Stores probe the L2 (no allocate on write miss).
+		fr.L2Hit = d.l2.Probe(ref.Line, true)
+		return fr
+	}
+	hit, ev := d.l2.Access(ref.Line, false)
+	fr.L2Hit = hit
+	if ev.Valid && ev.Dirty {
+		fr.L2WB = true
+		fr.Victim = ev.Line
+	}
+	return fr
 }
 
 // NewSystem builds a system from the config.
@@ -223,19 +247,6 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if shards := s.cfg.effectiveShards(); shards > 1 {
-		// Decoupled front-end: workers precompute the per-core reference
-		// streams while this goroutine replays the shared memory system.
-		// Results are bit-identical to the serial front-end because the
-		// streams are pure functions of each core's own state (frontend.go).
-		s.frontStats = make([]frontShardStats, shards)
-		stop := make(chan struct{}) //alloyvet:allow(confine) blessed entry to the audited front-end runtime
-		wg := s.startFrontEnd(shards, stop)
-		defer func() {
-			close(stop)
-			wg.Wait() //alloyvet:allow(confine) blessed entry to the audited front-end runtime
-		}()
-	}
 	if err := s.warm(ctx); err != nil {
 		return Result{}, err
 	}
@@ -249,9 +260,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		c.Start()
 	}
 	// Epoch 0: the post-warmup state, before any measured event runs.
-	// Subsequent samples land exactly at cancelQuantum boundaries — the
-	// same boundaries in serial and sharded mode, and the engine replay
-	// is bit-identical across shard counts, so the sampled series is too.
+	// Subsequent samples land exactly at cancelQuantum boundaries.
 	s.sampleTelemetry()
 	limit := s.eng.Now() + cancelQuantum
 	for !s.eng.RunUntil(limit) {
@@ -285,24 +294,18 @@ func (s *System) sampleTelemetry() {
 // publishMetrics renders a registry snapshot for concurrent /metrics
 // scrapers (obs.Registry.PublishSnapshot). It runs on the simulation
 // goroutine between engine quanta — the one place every component field
-// is safe to read — and is skipped while decoupled front-end workers are
-// live, because their per-shard stats are worker-owned until the run
-// joins them. Snapshot rendering only reads and formats: it cannot
+// is safe to read. Snapshot rendering only reads and formats: it cannot
 // perturb event order, so results stay byte-identical with or without an
 // attached registry.
 func (s *System) publishMetrics() {
 	if s.reg == nil {
 		return
 	}
-	// The flight-recorder snapshot covers engine-owned columns only, so
-	// it is safe to render even while front-end workers are live. It is
-	// gated on an attached registry: a recorder without a debug surface
-	// (the runner's always-on black box) skips per-quantum rendering and
-	// is only serialized when a failure dump is actually needed.
+	// The flight-recorder snapshot is gated on an attached registry: a
+	// recorder without a debug surface (the runner's always-on black box)
+	// skips per-quantum rendering and is only serialized when a failure
+	// dump is actually needed.
 	s.fr.PublishSnapshot()
-	if s.cfg.effectiveShards() > 1 {
-		return
-	}
 	s.reg.PublishSnapshot()
 }
 
@@ -348,13 +351,8 @@ func (s *System) warm(ctx context.Context) error {
 	s.mem.Reset()
 	s.stacked.Reset()
 	s.l3.ResetStats()
-	if s.frontStats == nil {
-		// Sharded mode must not touch the L2s from here: they belong to
-		// the front-end workers, which perform the same reset themselves
-		// at each core's warmup boundary (frontProducer.fill).
-		for _, l2 := range s.l2 {
-			l2.ResetStats()
-		}
+	for _, l2 := range s.l2 {
+		l2.ResetStats()
 	}
 	if s.org != nil {
 		s.org.ResetStats()

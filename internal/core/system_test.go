@@ -523,6 +523,28 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestLoadConfigAcceptsLegacyFormat: testdata/legacy_config.json is the
+// default alloysim config as earlier versions' SaveConfig wrote it,
+// including the key of a since-removed execution knob (set non-zero). It
+// must still load, validate and run, and the removed key must change
+// nothing.
+func TestLoadConfigAcceptsLegacyFormat(t *testing.T) {
+	got, err := LoadConfigFile("testdata/legacy_config.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig("mcf_r")
+	want.InstructionsPerCore = 1_500_000
+	want.WarmupRefs = 50_000
+	want.GapScale = 2
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("legacy config loaded differently:\n got %+v\nwant %+v", got, want)
+	}
+	got.InstructionsPerCore = 20_000
+	got.WarmupRefs = 1_000
+	runOne(t, got)
+}
+
 func TestConfigFileRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/cfg.json"
 	cfg := smallConfig("gcc_r", DesignLH)

@@ -15,16 +15,13 @@ import (
 
 	"alloysim/internal/memaddr"
 	"alloysim/internal/sim"
-	"alloysim/internal/trace"
 )
 
 // FrontRef is one reference record emitted by a core's front-end: the
 // trace reference plus the private-L2 outcome. The front-end (trace
 // generation and the private L2) is timing-independent — its state is a
 // pure function of the core's own reference stream, never of simulated
-// time — so FrontRef streams can be produced ahead of the engine, on
-// another goroutine, or inline, without changing a single simulated
-// cycle. That property is what the sharded simulation mode rests on.
+// time — so the memory system can take the L2 outcome as given.
 type FrontRef struct {
 	Line   memaddr.Line // referenced line
 	PC     uint64       // address of the memory instruction
@@ -38,24 +35,6 @@ type FrontRef struct {
 // RefSource produces a core's infinite FrontRef stream.
 type RefSource interface {
 	NextRef() FrontRef
-}
-
-// genSource adapts a bare trace.Generator into a RefSource with no
-// private L2: every record misses.
-type genSource struct{ gen trace.Generator }
-
-func (s genSource) NextRef() FrontRef {
-	ref := s.gen.Next()
-	return FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
-}
-
-// SourceFromGenerator wraps a trace generator as a RefSource for systems
-// without private L2s. A nil generator yields a nil source.
-func SourceFromGenerator(gen trace.Generator) RefSource {
-	if gen == nil {
-		return nil
-	}
-	return genSource{gen: gen}
 }
 
 // MemPort is the memory system as seen by a core: it services reads by

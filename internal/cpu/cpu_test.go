@@ -8,6 +8,15 @@ import (
 	"alloysim/internal/trace"
 )
 
+// genSource adapts a bare trace.Generator into a RefSource with no
+// private L2: every record misses.
+type genSource struct{ gen trace.Generator }
+
+func (s genSource) NextRef() FrontRef {
+	ref := s.gen.Next()
+	return FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
+}
+
 // fakePort services reads with a fixed latency and records traffic.
 type fakePort struct {
 	latency     sim.Cycle
@@ -46,7 +55,7 @@ func run(t *testing.T, cfg Config, p trace.Profile, instr uint64, lat sim.Cycle)
 	t.Helper()
 	eng := sim.NewEngine()
 	port := &fakePort{latency: lat}
-	core, err := New(0, cfg, SourceFromGenerator(p.MustBuild(1, 1, 0)), eng, port, instr)
+	core, err := New(0, cfg, genSource{p.MustBuild(1, 1, 0)}, eng, port, instr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestOutstandingBoundedByMLP(t *testing.T) {
 			}
 		},
 	}
-	core, err := New(0, Config{IPC: 4, MLP: 3}, SourceFromGenerator(testProfile(0, 0).MustBuild(1, 1, 0)), eng, port, 5000)
+	core, err := New(0, Config{IPC: 4, MLP: 3}, genSource{testProfile(0, 0).MustBuild(1, 1, 0)}, eng, port, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +181,7 @@ func (p *trackPort) Write(now sim.Cycle, core int, ref FrontRef) sim.Cycle { ret
 func TestFinishCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	port := &fakePort{latency: 10}
-	core, _ := New(3, DefaultConfig(), SourceFromGenerator(testProfile(0.2, 5).MustBuild(1, 1, 0)), eng, port, 1000)
+	core, _ := New(3, DefaultConfig(), genSource{testProfile(0.2, 5).MustBuild(1, 1, 0)}, eng, port, 1000)
 	var finished *Core
 	core.OnFinish(func(c *Core) { finished = c })
 	core.Start()
@@ -201,13 +210,13 @@ func TestWriteBackpressureStallsCore(t *testing.T) {
 	// time must reflect the backpressure.
 	eng := sim.NewEngine()
 	free := &fakePort{latency: 1}
-	coreA, _ := New(0, DefaultConfig(), SourceFromGenerator(testProfile(1.0, 0).MustBuild(1, 1, 0)), eng, free, 2000)
+	coreA, _ := New(0, DefaultConfig(), genSource{testProfile(1.0, 0).MustBuild(1, 1, 0)}, eng, free, 2000)
 	coreA.Start()
 	eng.Run()
 
 	eng2 := sim.NewEngine()
 	stall := &stallPort{stallBy: 500}
-	coreB, _ := New(0, DefaultConfig(), SourceFromGenerator(testProfile(1.0, 0).MustBuild(1, 1, 0)), eng2, stall, 2000)
+	coreB, _ := New(0, DefaultConfig(), genSource{testProfile(1.0, 0).MustBuild(1, 1, 0)}, eng2, stall, 2000)
 	coreB.Start()
 	eng2.Run()
 

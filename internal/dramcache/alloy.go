@@ -115,19 +115,10 @@ func (a *Alloy) checkTAD(line memaddr.Line, set int, row uint64) {
 	}
 }
 
-// Access implements Organization: one DRAM access streams the TAD; the tag
+// AccessInto implements Organization: one DRAM access streams the TAD; the tag
 // arrives with the data, so the only serialization is the single-cycle tag
 // check. Consecutive sets share rows, so streaming access patterns produce
 // row-buffer hits (CAS + burst = 23 cycles instead of 41).
-//
-//alloyvet:hotpath
-func (a *Alloy) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	a.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
 //
 //alloyvet:hotpath
 func (a *Alloy) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

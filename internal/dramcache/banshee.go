@@ -84,7 +84,7 @@ func (b *Banshee) freqIndex(line memaddr.Line) uint64 {
 	return memaddr.FoldXOR(uint64(line)>>memaddr.PageShift, bansheeFreqBits)
 }
 
-// Access implements Organization. The page-table-resident tags resolve the
+// AccessInto implements Organization. The page-table-resident tags resolve the
 // outcome after one tag-check cycle; hits read exactly one line from the
 // stacked DRAM. Read misses consult the fill filter: below the admission
 // threshold they bump the page's counter and bypass (no frame reserved, no
@@ -94,13 +94,6 @@ func (b *Banshee) freqIndex(line memaddr.Line) uint64 {
 // remaining lines admit on their first miss. Write misses are forwarded
 // to memory without training the filter — Banshee's filter learns read
 // reuse.
-func (b *Banshee) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	b.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
 //
 //alloyvet:hotpath
 func (b *Banshee) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

@@ -72,12 +72,10 @@ type FillResult struct {
 type Organization interface {
 	// Name identifies the design in reports, e.g. "Alloy (1-way)".
 	Name() string
-	// Access performs a demand access arriving at cycle now.
-	Access(now Cycle, line memaddr.Line, write bool) AccessResult
-	// AccessInto is Access writing its result into r (which it resets
-	// first). The simulation hot path uses this form: AccessResult is
-	// large enough that returning it by value costs a measurable copy
-	// per demand access.
+	// AccessInto performs a demand access arriving at cycle now and
+	// writes its result into r (which it resets first). AccessResult is
+	// large enough that returning it by value would cost a measurable
+	// copy per demand access.
 	//
 	// Caller contract: r must point to storage that outlives the call,
 	// such as a struct field. The compiler cannot see through an
@@ -87,7 +85,7 @@ type Organization interface {
 	AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult)
 	// Fill models the DRAM traffic of installing a line after its memory
 	// response arrives at cycle now. Contents were already reserved by the
-	// missing Access; Fill only charges the write traffic.
+	// missing AccessInto; Fill only charges the write traffic.
 	Fill(now Cycle, line memaddr.Line) FillResult
 	// Contains probes contents without side effects (used by the
 	// idealized MissMap and the Perfect predictor).

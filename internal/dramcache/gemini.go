@@ -148,17 +148,10 @@ func (g *Gemini) probeSA(t Cycle, line memaddr.Line, res *dram.Result) (tagKnown
 	return res.Done + TagCheckCycles
 }
 
-// Access implements Organization. The steering predictor picks which
+// AccessInto implements Organization. The steering predictor picks which
 // region to probe first; a wrong guess serializes the other region's probe
 // behind the first tag check. Misses install in the region the predictor
 // currently favors for the line.
-func (g *Gemini) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	g.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
 //
 //alloyvet:hotpath
 func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

@@ -39,7 +39,7 @@ func TestAlloyTADCoResidencyPanics(t *testing.T) {
 	// Corrupt the geometry: rowOf now disagrees with the 28-TAD layout
 	// checkTAD recomputes independently, so any access past row 0 panics.
 	a.setsPerRow = 7
-	mustPanicInv(t, "co-residency", func() { a.Access(0, memaddr.Line(100), false) })
+	mustPanicInv(t, "co-residency", func() { access(a, 0, memaddr.Line(100), false) })
 }
 
 func TestAlloyFillCoResidencyPanics(t *testing.T) {
@@ -60,7 +60,7 @@ func TestAlloyLegalAccessDoesNotPanic(t *testing.T) {
 	}
 	now := Cycle(0)
 	for i := 0; i < 128; i++ {
-		r := a.Access(now, memaddr.Line(i*37), i%4 == 0)
+		r := access(a, now, memaddr.Line(i*37), i%4 == 0)
 		now = r.TagKnown
 	}
 }
@@ -74,7 +74,7 @@ func TestTDRAMCoResidencyPanics(t *testing.T) {
 	// Corrupt the geometry as in the Alloy tests: rowOf now disagrees with
 	// the 28-lines-per-row layout checkRow recomputes independently.
 	td.setsPerRow = 7
-	mustPanicInv(t, "co-residency", func() { td.Access(0, memaddr.Line(100), false) })
+	mustPanicInv(t, "co-residency", func() { access(td, 0, memaddr.Line(100), false) })
 }
 
 func TestTDRAMFillCoResidencyPanics(t *testing.T) {
@@ -97,7 +97,7 @@ func TestGeminiDualResidencyPanics(t *testing.T) {
 	// exclusive-placement invariant every access asserts.
 	g.dm.Fill(memaddr.Line(9), false)
 	g.sa.Fill(memaddr.Line(9), false)
-	mustPanicInv(t, "both regions", func() { g.Access(0, memaddr.Line(9), false) })
+	mustPanicInv(t, "both regions", func() { access(g, 0, memaddr.Line(9), false) })
 }
 
 func TestZooLegalAccessDoesNotPanic(t *testing.T) {
@@ -121,7 +121,7 @@ func TestZooLegalAccessDoesNotPanic(t *testing.T) {
 	for _, o := range orgs {
 		now := Cycle(0)
 		for i := 0; i < 128; i++ {
-			r := o.Access(now, memaddr.Line(i*37), i%4 == 0)
+			r := access(o, now, memaddr.Line(i*37), i%4 == 0)
 			now = r.TagKnown
 			if r.Allocated {
 				o.Fill(now, memaddr.Line(i*37))

@@ -110,17 +110,10 @@ func (c *LHCache) tagBurst() Cycle {
 	return 1
 }
 
-// Access implements Organization. All accesses — including ones the
+// AccessInto implements Organization. All accesses — including ones the
 // MissMap already identified as misses, which arrive via Fill instead —
 // read the tag lines first; compound access scheduling then guarantees the
 // data column access hits the open row.
-func (c *LHCache) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	c.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
 //
 //alloyvet:hotpath
 func (c *LHCache) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

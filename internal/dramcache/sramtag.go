@@ -68,16 +68,9 @@ func (s *SRAMTag) CapacityBytes() uint64 {
 // rowOf maps a set index to the stacked-DRAM row holding it.
 func (s *SRAMTag) rowOf(set int) uint64 { return uint64(set / s.setsPerRow) }
 
-// Access implements Organization. The tag store resolves hit/miss after
+// AccessInto implements Organization. The tag store resolves hit/miss after
 // SRAMTagLatency cycles; a hit then reads the data line from the stacked
 // DRAM; a read miss allocates and will be filled later.
-func (s *SRAMTag) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	s.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
 //
 //alloyvet:hotpath
 func (s *SRAMTag) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

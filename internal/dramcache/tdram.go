@@ -68,18 +68,11 @@ func (t *TDRAM) checkRow(line memaddr.Line, set int, row uint64) {
 	}
 }
 
-// Access implements Organization: one line-sized DRAM access; the tag
+// AccessInto implements Organization: one line-sized DRAM access; the tag
 // arrives on the dedicated path with the first data beat, so the outcome
 // is known at CAS completion plus one tag-check cycle — while the data is
 // still bursting. Consecutive sets share rows as in Alloy, preserving the
 // row-buffer locality pillar.
-func (t *TDRAM) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	t.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
 //
 //alloyvet:hotpath
 func (t *TDRAM) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

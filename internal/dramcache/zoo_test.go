@@ -18,7 +18,7 @@ func TestTDRAMHitLatencyAndEarlyTag(t *testing.T) {
 	}
 	fillLine(t, o, 1000)
 	st.Reset() // close all rows
-	r := o.Access(0, 1000, false)
+	r := access(o, 0, 1000, false)
 	if !r.Hit {
 		t.Fatal("expected hit")
 	}
@@ -41,8 +41,8 @@ func TestTDRAMMissResolvesBeforeAlloy(t *testing.T) {
 	at, tt := stacked(), stacked()
 	a, _ := NewAlloy(testCap, at)
 	d, _ := NewTDRAM(testCap, tt)
-	ra := a.Access(0, 42, false)
-	rd := d.Access(0, 42, false)
+	ra := access(a, 0, 42, false)
+	rd := access(d, 0, 42, false)
 	if ra.Hit || rd.Hit {
 		t.Fatal("cold accesses must miss")
 	}
@@ -73,7 +73,7 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.Stats()
-	r := o.Access(0, 42, false)
+	r := access(o, 0, 42, false)
 	if r.Hit || r.Allocated {
 		t.Fatal("first miss must bypass, not allocate")
 	}
@@ -86,7 +86,7 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 	if o.BypassedFills() != 1 || o.AdmittedFills() != 0 {
 		t.Fatalf("filter counters: bypassed=%d admitted=%d, want 1/0", o.BypassedFills(), o.AdmittedFills())
 	}
-	r = o.Access(100, 42, false)
+	r = access(o, 100, 42, false)
 	if r.Hit || !r.Allocated {
 		t.Fatal("second miss must cross the threshold and allocate")
 	}
@@ -98,7 +98,7 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 	}
 	// Hit reads exactly one line; tags are on-chip.
 	before = st.Stats()
-	r = o.Access(200, 42, false)
+	r = access(o, 200, 42, false)
 	if !r.Hit {
 		t.Fatal("expected hit after admission")
 	}
@@ -113,15 +113,15 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 func TestBansheeHotPageAdmitsSubsequentLinesOnFirstMiss(t *testing.T) {
 	o, _ := NewBanshee(testCap, stacked())
 	// Two misses on line 42 heat its page past the threshold.
-	o.Access(0, 42, false)
-	o.Access(100, 42, false)
+	access(o, 0, 42, false)
+	access(o, 100, 42, false)
 	if !o.Contains(42) {
 		t.Fatal("line 42 not admitted after two misses")
 	}
 	// Hotness is a page property: line 43 shares the page and must admit
 	// on its first miss — the counter saturates rather than resetting on
 	// admission.
-	r := o.Access(200, 43, false)
+	r := access(o, 200, 43, false)
 	if !r.Allocated {
 		t.Fatal("first miss on a hot page bypassed; counter was reset on admission")
 	}
@@ -129,7 +129,7 @@ func TestBansheeHotPageAdmitsSubsequentLinesOnFirstMiss(t *testing.T) {
 		t.Fatal("admitted line 43 not resident")
 	}
 	// A cold page is unaffected: its first miss still bypasses.
-	r = o.Access(300, 4242, false) // page 66, distinct counter
+	r = access(o, 300, 4242, false) // page 66, distinct counter
 	if r.Allocated || o.Contains(4242) {
 		t.Fatal("first miss on a cold page did not bypass")
 	}
@@ -137,8 +137,8 @@ func TestBansheeHotPageAdmitsSubsequentLinesOnFirstMiss(t *testing.T) {
 
 func TestBansheeWriteMissDoesNotTrainFilter(t *testing.T) {
 	o, _ := NewBanshee(testCap, stacked())
-	o.Access(0, 42, true) // write miss: forwarded, no counter bump
-	r := o.Access(10, 42, false)
+	access(o, 0, 42, true) // write miss: forwarded, no counter bump
+	r := access(o, 10, 42, false)
 	if r.Allocated {
 		t.Fatal("read miss after a write miss allocated; writes must not train the filter")
 	}
@@ -162,7 +162,7 @@ func TestGeminiSteersConflictingLinesToSA(t *testing.T) {
 	a, b := memaddr.Line(5), memaddr.Line(5)+dmSets // same DM set
 	now := Cycle(0)
 	access := func(l memaddr.Line) AccessResult {
-		r := o.Access(now, l, false)
+		r := access(o, now, l, false)
 		now += 1000
 		return r
 	}
@@ -189,7 +189,7 @@ func TestGeminiRegionsDisjointAndStatsSum(t *testing.T) {
 	o, _ := NewGemini(testCap, stacked())
 	now := Cycle(0)
 	for l := memaddr.Line(0); l < 64; l++ {
-		o.Access(now, l, false)
+		access(o, now, l, false)
 		now += 100
 	}
 	for l := memaddr.Line(0); l < 64; l++ {
@@ -218,7 +218,7 @@ func TestGeminiMisroutedHitSerializesSecondProbe(t *testing.T) {
 		t.Fatal("steered install did not land in the SA region")
 	}
 	o.steer[idx] = 0
-	r := o.Access(100000, 77, false)
+	r := access(o, 100000, 77, false)
 	if !r.Hit {
 		t.Fatal("expected hit")
 	}
@@ -242,7 +242,7 @@ func TestGeminiMisroutedDMHitConsumesDMProbe(t *testing.T) {
 	// into the DM region.
 	idx := o.steerIndex(55)
 	o.steer[idx] = geminiSteerMax
-	r := o.Access(100000, 55, false)
+	r := access(o, 100000, 55, false)
 	if !r.Hit {
 		t.Fatal("expected hit")
 	}
@@ -259,7 +259,7 @@ func TestGeminiMisroutedDMHitConsumesDMProbe(t *testing.T) {
 	// identical twin that probes DM directly finishes strictly earlier.
 	o2, _ := NewGemini(testCap, stacked())
 	fillLine(t, o2, 55)
-	clean := o2.Access(100000, 55, false)
+	clean := access(o2, 100000, 55, false)
 	if !clean.Hit {
 		t.Fatal("twin: expected hit")
 	}

@@ -51,7 +51,7 @@ type checkpointWriter struct {
 }
 
 // fingerprint hashes every Params field that changes simulation results.
-// Parallelism, Shards, Progress, Retries, and PointTimeout steer
+// Parallelism, Progress, Retries, and PointTimeout steer
 // execution, not outcomes, and are deliberately excluded: resuming on a
 // different machine or with different concurrency must still hit the
 // checkpoint.

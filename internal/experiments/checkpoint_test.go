@@ -229,3 +229,13 @@ func TestCheckpointConcurrentCompletionsDoNotClobber(t *testing.T) {
 		t.Fatalf("restored %d points, want %d", restored, points)
 	}
 }
+
+// TestDefaultParamsFingerprintPinned: checkpoints written by earlier
+// versions must keep resuming, so the default parameters' fingerprint may
+// only change together with a deliberate checkpointVersion bump.
+func TestDefaultParamsFingerprintPinned(t *testing.T) {
+	const want = "c29cd0fea93794fd2e28e45bdde0de9b035cd6f234a810bbe966b6b36d846fa4"
+	if got := DefaultParams().Fingerprint(); got != want {
+		t.Fatalf("DefaultParams().Fingerprint() = %s, want %s", got, want)
+	}
+}

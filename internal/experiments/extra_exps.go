@@ -104,7 +104,6 @@ func ablSpeedup(ctx context.Context, p Params, mutate func(*core.Config)) (float
 			cfg.Cores = p.Cores
 			cfg.GapScale = p.GapScale
 			cfg.Seed = p.Seed
-			cfg.Shards = p.Shards
 			mutate(&cfg)
 			sys, err := core.NewSystem(cfg)
 			if err != nil {

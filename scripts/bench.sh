@@ -7,8 +7,7 @@
 #   BENCHTIME=3x scripts/bench.sh pr2   # more iterations, steadier ns/op
 #
 # The set covers the two figure benchmarks the ROADMAP tracks (Fig4, Fig9),
-# the sharded-front-end variants of Fig9 (Shards2/4/8 — same results, the
-# wall-time delta is the point), the raw simulator-throughput benchmark,
+# the raw simulator-throughput benchmark,
 # the engine micro-benchmarks, and one benchmark per layer a demand access
 # crosses (trace generator, L3/LH tag stores, each DRAM-cache organization,
 # each predictor, both DRAM devices). Engine and layer benchmarks must
@@ -22,7 +21,7 @@ LABEL="${1:-current}"
 BENCHTIME="${BENCHTIME:-1x}"
 
 {
-  go test -run '^$' -bench 'BenchmarkFig4$|BenchmarkFig9$|BenchmarkFig9Shards[248]$|BenchmarkSimulationThroughput$' \
+  go test -run '^$' -bench 'BenchmarkFig4$|BenchmarkFig9$|BenchmarkSimulationThroughput$' \
     -benchmem -benchtime "$BENCHTIME" -timeout 30m .
   go test -run '^$' -bench 'BenchmarkSchedule|BenchmarkEngineMixed' \
     -benchmem -benchtime 1s ./internal/sim

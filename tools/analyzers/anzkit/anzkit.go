@@ -10,8 +10,7 @@
 //
 // An allow comment suppresses diagnostics on its own line, on the line
 // below (when it stands alone), or in the whole function (when it appears
-// in the function's doc comment). Analyzers that audit whole files (the
-// confinement check) additionally honor the file-doc form via FileAllows.
+// in the function's doc comment).
 package anzkit
 
 import (
@@ -57,27 +56,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// FileAllowed reports whether a file-doc allow comment names this pass's
-// analyzer, and marks it used for the stale-allow report. Analyzers whose
-// unit of exemption is a whole file call this instead of FileAllows.
-func (p *Pass) FileAllowed(f *ast.File) bool {
-	allowed := false
-	for _, cg := range f.Comments {
-		if cg.End() >= f.Package {
-			continue
-		}
-		for _, c := range cg.List {
-			for _, n := range allowedNames(c.Text) {
-				if n == p.Analyzer.Name {
-					allowed = true
-					p.allow.markUsed(p.Fset.Position(c.Pos()), n)
-				}
-			}
-		}
-	}
-	return allowed
 }
 
 // Diagnostic is one finding, with a resolved source position.
@@ -226,29 +204,6 @@ func allowedNames(text string) []string {
 	return names
 }
 
-// FileAllows reports whether a comment above the file's package clause
-// carries an //alloyvet:allow(...) naming the analyzer — either in the
-// doc comment proper or as a standalone comment separated by a blank line
-// (which keeps it out of go doc output). Analyzers whose unit of
-// exemption is a whole file (e.g. confine, which blesses audited
-// concurrency-runtime files) call this before walking the file; the
-// per-line grammar stays available for point exemptions.
-func FileAllows(f *ast.File, analyzer string) bool {
-	for _, cg := range f.Comments {
-		if cg.End() >= f.Package {
-			continue
-		}
-		for _, c := range cg.List {
-			for _, n := range allowedNames(c.Text) {
-				if n == analyzer {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // Directive parses an "//alloyvet:<name> <arg>" comment and returns the
 // trimmed argument text. The grammar beyond allow/hotpath:
 //
@@ -335,12 +290,11 @@ func (t *allowTracker) stale(known map[string]bool) []Diagnostic {
 // allowIndex resolves allow comments to (file, line, analyzer) coverage.
 type allowIndex struct {
 	// lines maps filename -> line -> allow entries covering that line.
-	lines   map[string]map[int][]*allowRecord
-	tracker *allowTracker
+	lines map[string]map[int][]*allowRecord
 }
 
 func buildAllowIndex(fset *token.FileSet, files []*ast.File, tracker *allowTracker) *allowIndex {
-	idx := &allowIndex{lines: make(map[string]map[int][]*allowRecord), tracker: tracker}
+	idx := &allowIndex{lines: make(map[string]map[int][]*allowRecord)}
 	add := func(pos token.Position, recs []*allowRecord) {
 		m := idx.lines[pos.Filename]
 		if m == nil {
@@ -405,11 +359,4 @@ func (idx *allowIndex) allows(analyzer string, pos token.Position) bool {
 		}
 	}
 	return false
-}
-
-// markUsed flags the allow record at a comment position as live; used by
-// Pass.FileAllowed, whose file-doc comments suppress whole files rather
-// than individual positions.
-func (idx *allowIndex) markUsed(pos token.Position, name string) {
-	idx.tracker.record(pos, name).used = true
 }

@@ -1,7 +1,7 @@
 // Command alloyvet is the repo's static-analysis multichecker: the
 // determinism, hotpath, cycleunits, confine, ctxflow, lockcheck, and
 // goloop analyzers compiled into one binary.
-// See DESIGN.md §9 and §14 for the annotation grammar the analyzers honor.
+// See DESIGN.md §9 and §13 for the annotation grammar the analyzers honor.
 //
 // Two modes:
 //

@@ -1,19 +1,17 @@
-// Package confine enforces the simulation model's concurrency confinement.
+// Package confine keeps concurrency out of the simulation model.
 //
-// The sharded front-end (DESIGN.md §12) keeps the simulation bit-identical
-// for every worker count by a structural argument: the timing model is
-// single-threaded, and the only concurrency anywhere near it lives in a
-// handful of audited runtime files (the SPSC mailbox, the epoch barrier,
-// the front-end workers) that exchange data exclusively through those
-// mechanisms. A stray goroutine, mutex, or atomic introduced elsewhere in
-// the model cone would quietly void that argument — the race detector only
-// catches the races a test happens to schedule, and a data race that
-// changes event order corrupts results silently.
+// The timing model is single-threaded: every result is a pure function of
+// the configuration because exactly one goroutine advances simulated time,
+// and all parallelism lives one level up, where the experiment runner
+// spreads independent simulations across cores. A stray goroutine, mutex,
+// or atomic introduced in the model would quietly void that argument —
+// the race detector only catches the races a test happens to schedule,
+// and a data race that changes event order corrupts results silently.
 //
-// So the analyzer inverts the burden of proof. Inside the strict cone (see
-// Cone — the timing-model packages; the experiment runner and obs layer
-// are deliberately outside, they are allowed ordinary locking) it flags
-// every concurrency construct:
+// So inside the strict cone (see Cone — the timing-model packages; the
+// experiment runner and obs layer are deliberately outside, they are
+// allowed ordinary locking) the analyzer flags every concurrency
+// construct:
 //
 //   - go statements
 //   - select statements and channel sends
@@ -21,11 +19,8 @@
 //   - any reference into package sync or sync/atomic (types, functions,
 //     and methods — sync.WaitGroup fields and atomic.Uint64.Load alike)
 //
-// Audited runtime files opt out wholesale with //alloyvet:allow(confine)
-// in the file's doc comment; single call sites (e.g. the one place
-// core.System spins up its front-end) use the ordinary per-line form.
-// Test files are skipped: tests may freely spawn goroutines to exercise
-// the runtime files.
+// The cone has no audited exceptions. Test files are skipped: tests may
+// spawn goroutines (e.g. to scrape metrics while a simulation runs).
 package confine
 
 import (
@@ -52,7 +47,7 @@ var Cone = []string{
 // Analyzer is the concurrency-confinement check.
 var Analyzer = &anzkit.Analyzer{
 	Name: "confine",
-	Doc:  "flag concurrency constructs in the timing-model cone outside audited runtime files",
+	Doc:  "flag concurrency constructs in the timing-model cone",
 	Run:  run,
 }
 
@@ -71,22 +66,19 @@ func run(pass *anzkit.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		if pass.FileAllowed(file) {
-			continue
-		}
 		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "go statement in the timing-model cone; workers belong in an audited runtime file (sim/shard.go, core/frontend.go)")
+				pass.Reportf(n.Pos(), "go statement in the timing-model cone; the model is single-threaded, parallelism belongs to the experiment runner")
 			case *ast.SelectStmt:
-				pass.Reportf(n.Pos(), "select statement in the timing-model cone; channel coordination belongs in an audited runtime file")
+				pass.Reportf(n.Pos(), "select statement in the timing-model cone; the model is single-threaded")
 			case *ast.SendStmt:
-				pass.Reportf(n.Pos(), "channel send in the timing-model cone; cross-goroutine data flow must go through sim.Mailbox or sim.ShardGroup")
+				pass.Reportf(n.Pos(), "channel send in the timing-model cone; the model is single-threaded")
 			case *ast.ChanType:
-				pass.Reportf(n.Pos(), "channel type in the timing-model cone; cross-goroutine data flow must go through sim.Mailbox or sim.ShardGroup")
+				pass.Reportf(n.Pos(), "channel type in the timing-model cone; the model is single-threaded")
 				return false // don't re-flag the element type
 			case *ast.SelectorExpr:
 				checkSyncRef(pass, n)
@@ -124,7 +116,7 @@ func checkSyncRef(pass *anzkit.Pass, sel *ast.SelectorExpr) {
 	}
 	switch pkg.Path() {
 	case "sync", "sync/atomic":
-		pass.Reportf(sel.Pos(), "%s.%s in the timing-model cone; shared state belongs in an audited runtime file", pkg.Name(), sel.Sel.Name)
+		pass.Reportf(sel.Pos(), "%s.%s in the timing-model cone; the model is single-threaded and shares no state", pkg.Name(), sel.Sel.Name)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Test files are skipped: tests may freely spawn goroutines to exercise
-// the runtime files, so nothing here is flagged.
+// Test files are skipped: tests may freely spawn goroutines, so nothing
+// here is flagged.
 package sim
 
 import "testing"

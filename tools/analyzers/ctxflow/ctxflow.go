@@ -1,6 +1,6 @@
 // Package ctxflow checks that the service cone threads cancellation.
 //
-// The daemon (DESIGN.md §13) promises bounded shutdown: SIGTERM drains,
+// The daemon (DESIGN.md §12) promises bounded shutdown: SIGTERM drains,
 // a drain timeout aborts, and every request carries a context. That
 // promise only holds if no function on the serving path blocks on
 // something its context cannot interrupt. This analyzer enforces it
