@@ -10,6 +10,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
@@ -72,16 +73,22 @@ func (s Stats) HitRate() float64 {
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulator is single-threaded and deterministic by design.
 //
-// Contents are stored struct-of-arrays: a flat tag array plus one valid and
-// one dirty bitmask per set (hence the 64-way limit). The lookup loop walks
-// only the valid ways through the tag array — half the memory traffic of an
-// array-of-structs layout — and a free way is found in O(1) by counting
-// trailing zeros of the inverted valid mask.
+// Contents are stored struct-of-arrays: a flat tag array plus flat valid
+// and dirty bitmaps (hence the 64-way limit). Each set owns a
+// power-of-two window of 1<<logW bits, so a window never straddles a
+// word: 2 bits for a direct-mapped set, 32 for 16 or 29 ways, 64 for 32
+// and up. Below 64 ways the window is strictly wider than the ways, so a
+// stray bit past the last way stays inside its own set, where checkSet
+// reports it. The lookup loop walks only the valid ways through the tag
+// array — half the memory traffic of an array-of-structs layout — and a
+// free way is found in O(1) by counting trailing zeros of the inverted
+// valid mask.
 type Cache struct {
 	cfg     Config
 	lines   []memaddr.Line // sets*assoc tags
-	valid   []uint64       // per-set way bitmask
-	dirty   []uint64       // per-set way bitmask
+	valid   []uint64       // per-set way bitmaps, 1<<logW bits per set
+	dirty   []uint64       // same layout as valid
+	logW    uint           // log2 of a set's bitmap window width
 	full    uint64         // assoc ones: the value of a full set's valid mask
 	setMask uint64         // Sets-1 when Sets is a power of two, else 0
 	pol     policy.Policy
@@ -89,6 +96,9 @@ type Cache struct {
 }
 
 // New creates a cache from the config. An empty Policy defaults to "lru".
+// A direct-mapped cache gets a stateless policy under the configured
+// name: a 1-way set's victim is always way 0, so any recency state would
+// be dead weight.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -97,14 +107,24 @@ func New(cfg Config) (*Cache, error) {
 	if name == "" {
 		name = "lru"
 	}
-	pol, err := policy.NewSeeded(name, cfg.Sets, cfg.Assoc, cfg.Seed)
-	if err != nil {
-		return nil, err
+	var pol policy.Policy
+	if cfg.Assoc == 1 {
+		if !slices.Contains(policy.Known(), name) {
+			return nil, fmt.Errorf("policy: unknown policy %q", name)
+		}
+		pol = directMapped(name)
+	} else {
+		var err error
+		if pol, err = policy.NewSeeded(name, cfg.Sets, cfg.Assoc, cfg.Seed); err != nil {
+			return nil, err
+		}
 	}
 	full := ^uint64(0)
 	if cfg.Assoc < 64 {
 		full = 1<<uint(cfg.Assoc) - 1
 	}
+	logW := uint(min(bits.Len(uint(cfg.Assoc)), 6))
+	words := (cfg.Sets<<logW + 63) >> 6
 	var setMask uint64
 	if s := uint64(cfg.Sets); s&(s-1) == 0 {
 		setMask = s - 1
@@ -112,13 +132,24 @@ func New(cfg Config) (*Cache, error) {
 	return &Cache{
 		cfg:     cfg,
 		lines:   make([]memaddr.Line, cfg.Sets*cfg.Assoc),
-		valid:   make([]uint64, cfg.Sets),
-		dirty:   make([]uint64, cfg.Sets),
+		valid:   make([]uint64, words),
+		dirty:   make([]uint64, words),
+		logW:    logW,
 		full:    full,
 		setMask: setMask,
 		pol:     pol,
 	}, nil
 }
+
+// directMapped is the replacement policy of a 1-way cache: there is only
+// one way to evict, and no state to keep. It reports the configured name.
+type directMapped string
+
+func (directMapped) Touch(int, int)  {}
+func (directMapped) Insert(int, int) {}
+func (directMapped) Victim(int) int  { return 0 }
+func (directMapped) Miss(int)        {}
+func (p directMapped) Name() string  { return string(p) }
 
 // MustNew is New but panics on error; for tests and fixed configurations.
 func MustNew(cfg Config) *Cache {
@@ -151,12 +182,30 @@ func (c *Cache) SetOf(line memaddr.Line) int {
 	return int(line.Mod(uint64(c.cfg.Sets)))
 }
 
+// at returns the index of the bitmap word holding set's window and the
+// window's bit offset within that word.
+//
+//alloyvet:hotpath
+func (c *Cache) at(set int) (word int, off uint) {
+	b := uint(set) << c.logW
+	return int(b >> 6), b & 63
+}
+
+// setDirty marks way w of set dirty.
+//
+//alloyvet:hotpath
+func (c *Cache) setDirty(set, w int) {
+	word, off := c.at(set)
+	c.dirty[word] |= 1 << (off + uint(w))
+}
+
 // findWay returns the way holding line in set, or -1.
 //
 //alloyvet:hotpath
 func (c *Cache) findWay(set int, line memaddr.Line) int {
 	base := set * c.cfg.Assoc
-	for m := c.valid[set]; m != 0; m &= m - 1 {
+	word, off := c.at(set)
+	for m := c.valid[word] >> off & c.full; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if c.lines[base+w] == line {
 			return w
@@ -184,7 +233,7 @@ func (c *Cache) Access(line memaddr.Line, write bool) (hit bool, ev Eviction) {
 		c.stats.Hits++
 		if write {
 			c.stats.WriteHits++
-			c.dirty[set] |= 1 << uint(w)
+			c.setDirty(set, w)
 		}
 		c.pol.Touch(set, w)
 		return true, Eviction{}
@@ -209,7 +258,7 @@ func (c *Cache) Probe(line memaddr.Line, write bool) bool {
 		c.stats.Hits++
 		if write {
 			c.stats.WriteHits++
-			c.dirty[set] |= 1 << uint(w)
+			c.setDirty(set, w)
 		}
 		c.pol.Touch(set, w)
 		return true
@@ -228,7 +277,7 @@ func (c *Cache) Fill(line memaddr.Line, dirty bool) Eviction {
 	set := c.SetOf(line)
 	if w := c.findWay(set, line); w >= 0 {
 		if dirty {
-			c.dirty[set] |= 1 << uint(w)
+			c.setDirty(set, w)
 		}
 		return Eviction{}
 	}
@@ -238,9 +287,10 @@ func (c *Cache) Fill(line memaddr.Line, dirty bool) Eviction {
 //alloyvet:hotpath
 func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 	base := set * c.cfg.Assoc
+	word, off := c.at(set)
 	var ev Eviction
 	var way int
-	if free := ^c.valid[set] & c.full; free != 0 {
+	if free := ^(c.valid[word] >> off) & c.full; free != 0 {
 		// Lowest invalid way first, matching the policy's insertion model.
 		way = bits.TrailingZeros64(free)
 	} else {
@@ -250,19 +300,20 @@ func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 			// tags — silent cross-set corruption, not a bounds panic.
 			invariants.Failf("cache: policy victim way %d outside [0,%d) for set %d", way, c.cfg.Assoc, set)
 		}
-		wasDirty := c.dirty[set]&(1<<uint(way)) != 0
+		wasDirty := c.dirty[word]&(1<<(off+uint(way))) != 0
 		ev = Eviction{Line: c.lines[base+way], Dirty: wasDirty, Valid: true}
 		c.stats.Evictions++
 		if wasDirty {
 			c.stats.Writebacks++
 		}
 	}
+	bit := uint64(1) << (off + uint(way))
 	c.lines[base+way] = line
-	c.valid[set] |= 1 << uint(way)
+	c.valid[word] |= bit
 	if dirty {
-		c.dirty[set] |= 1 << uint(way)
+		c.dirty[word] |= bit
 	} else {
-		c.dirty[set] &^= 1 << uint(way)
+		c.dirty[word] &^= bit
 	}
 	c.pol.Insert(set, way)
 	if invariants.Enabled {
@@ -276,11 +327,18 @@ func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 // meaningful under -tags invariants; a dirty-without-valid bit turns into
 // a phantom writeback the next time the way is reused.
 func (c *Cache) checkSet(set int) {
-	if orphan := c.dirty[set] &^ c.valid[set]; orphan != 0 {
-		invariants.Failf("cache: set %d has dirty bits %#x without valid bits (valid %#x)", set, orphan, c.valid[set])
+	window := ^uint64(0)
+	if c.logW < 6 {
+		window = 1<<(1<<c.logW) - 1
 	}
-	if over := c.valid[set] &^ c.full; over != 0 {
-		invariants.Failf("cache: set %d valid mask %#x exceeds %d ways", set, c.valid[set], c.cfg.Assoc)
+	word, off := c.at(set)
+	valid := c.valid[word] >> off & window
+	dirty := c.dirty[word] >> off & window
+	if orphan := dirty &^ valid; orphan != 0 {
+		invariants.Failf("cache: set %d has dirty bits %#x without valid bits (valid %#x)", set, orphan, valid)
+	}
+	if over := valid &^ c.full; over != 0 {
+		invariants.Failf("cache: set %d valid mask %#x exceeds %d ways", set, valid, c.cfg.Assoc)
 	}
 }
 
@@ -291,10 +349,11 @@ func (c *Cache) Invalidate(line memaddr.Line) (present, dirty bool) {
 	if w < 0 {
 		return false, false
 	}
-	bit := uint64(1) << uint(w)
-	dirty = c.dirty[set]&bit != 0
-	c.valid[set] &^= bit
-	c.dirty[set] &^= bit
+	word, off := c.at(set)
+	bit := uint64(1) << (off + uint(w))
+	dirty = c.dirty[word]&bit != 0
+	c.valid[word] &^= bit
+	c.dirty[word] &^= bit
 	c.lines[set*c.cfg.Assoc+w] = 0
 	if invariants.Enabled {
 		c.checkSet(set)

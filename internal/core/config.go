@@ -68,6 +68,16 @@ const (
 	PredMissMap PredictorKind = "missmap"
 )
 
+// The values NewSystem gives zero-valued Config fields.
+const (
+	// DefaultWriteBufferEntries is the write-buffer depth a zero
+	// WriteBufferEntries selects.
+	DefaultWriteBufferEntries = 64
+	// DefaultL3Policy is the L3 replacement policy an empty L3Policy
+	// selects: the paper's LRU-based DIP.
+	DefaultL3Policy = "dip"
+)
+
 // Config describes one simulation.
 type Config struct {
 	// Workload names a trace profile (trace.ByName).

@@ -126,7 +126,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, eng: sim.NewEngine(), writeBufCap: cfg.WriteBufferEntries}
 	if s.writeBufCap <= 0 {
-		s.writeBufCap = 64
+		s.writeBufCap = DefaultWriteBufferEntries
 	}
 	s.hitLatHist = stats.NewHistogram(8, 512) // 8-cycle buckets up to 4096
 	s.missLatHist = stats.NewHistogram(8, 512)
@@ -149,7 +149,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	l3Policy := cfg.L3Policy
 	if l3Policy == "" {
-		l3Policy = "dip"
+		l3Policy = DefaultL3Policy
 	}
 	if s.l3, err = cache.New(cache.Config{Sets: l3Sets, Assoc: cfg.L3Assoc, Policy: l3Policy}); err != nil {
 		return nil, err
@@ -303,8 +303,8 @@ func (s *System) publishMetrics() {
 	}
 	// The flight-recorder snapshot is gated on an attached registry: a
 	// recorder without a debug surface (the runner's always-on black box)
-	// skips per-quantum rendering and is only serialized when a failure
-	// dump is actually needed.
+	// skips per-quantum rendering. The runner renders it once, after the
+	// run ends, whether the run succeeded or failed.
 	s.fr.PublishSnapshot()
 	s.reg.PublishSnapshot()
 }

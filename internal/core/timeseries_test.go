@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -183,4 +184,43 @@ func uitoa(v uint64) string {
 	}
 	sb.Write(buf[i:])
 	return sb.String()
+}
+
+// TestFlightAppendJSONMatchesWriteJSON: the Runner keeps AppendJSON's
+// bytes as each point's dump, so they must equal the reference WriteJSON
+// rendering exactly, for designs that register different columns (no
+// DRAM cache, direct-mapped, set-associative, hybrid), with both the
+// epoch ring and the span ring wrapped.
+func TestFlightAppendJSONMatchesWriteJSON(t *testing.T) {
+	for _, d := range []Design{DesignNone, DesignAlloy, DesignLH, DesignGemini} {
+		s, err := NewSystem(smallConfig("mcf_r", d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := obs.NewFlightRecorder(4, 64, 16)
+		s.EnableFlightRecorder(fr)
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if fr.Drops() == 0 || fr.Tracer().Sampled() <= 16 {
+			t.Fatalf("%s: rings did not wrap (drops %d, spans %d)", d, fr.Drops(), fr.Tracer().Sampled())
+		}
+		var want bytes.Buffer
+		if err := fr.WriteJSON(&want); err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("prefix")
+		got := fr.AppendJSON(prefix)
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+			t.Fatalf("%s: AppendJSON differs from WriteJSON:\n%s\nvs\n%s", d, got[len(prefix):], want.Bytes())
+		}
+	}
+	var nilRec *obs.FlightRecorder
+	var want bytes.Buffer
+	if err := nilRec.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got := nilRec.AppendJSON(nil); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("nil recorder: AppendJSON %q, WriteJSON %q", got, want.Bytes())
+	}
 }

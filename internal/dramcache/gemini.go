@@ -37,6 +37,10 @@ type Gemini struct {
 	steer       []uint8
 	saMisrouted stats.Counter // accesses that found the line in the unpredicted region
 	name        string
+
+	// inflight counts, per line, installs whose Fill has not landed yet.
+	// Kept only under -tags invariants, where Fill checks against it.
+	inflight map[memaddr.Line]int
 }
 
 // GeminiOption configures a Gemini cache.
@@ -92,6 +96,9 @@ func NewGemini(capacityBytes uint64, stacked *dram.DRAM, opts ...GeminiOption) (
 	}
 	g.tags = dm // base fallback; all tag-touching methods are overridden
 	g.stacked = stacked
+	if invariants.Enabled {
+		g.inflight = make(map[memaddr.Line]int)
+	}
 	return g, nil
 }
 
@@ -224,6 +231,9 @@ func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessR
 		return
 	}
 	var ev cache.Eviction
+	if invariants.Enabled {
+		g.inflight[line]++
+	}
 	if saFirst {
 		_, ev = g.sa.Access(line, false)
 		if invariants.Enabled && !g.sa.Contains(line) {
@@ -275,17 +285,24 @@ func (g *Gemini) hitIn(tagKnown Cycle, line memaddr.Line, write, hitSA bool, r *
 // Fill implements Organization: the install traffic matches the region the
 // missing Access reserved the frame in — one TAD burst for the
 // direct-mapped region, tag read plus data-and-tag write for the
-// set-associative region.
+// set-associative region. A later miss to the same set may evict the
+// reserved frame while the fill is in flight; such a fill, whichever
+// region reserved it, is charged as a direct-mapped install.
 func (g *Gemini) Fill(now Cycle, line memaddr.Line) FillResult {
 	cfg := g.stacked.Config()
+	if invariants.Enabled {
+		if g.inflight[line] == 0 {
+			invariants.Failf("dramcache: Gemini fill of line %d that no miss reserved", line)
+		}
+		if g.inflight[line]--; g.inflight[line] == 0 {
+			delete(g.inflight, line)
+		}
+	}
 	if g.sa.Contains(line) {
 		row := g.saRowOf(g.sa.SetOf(line))
 		tagRead := g.stacked.AccessRow(now, row, LHTagLines*cfg.BurstLine, false)
 		write := g.stacked.AccessRow(tagRead.Done+TagCheckCycles, row, cfg.BurstLine+1, true)
 		return FillResult{Done: write.Done}
-	}
-	if invariants.Enabled && !g.dm.Contains(line) {
-		invariants.Failf("dramcache: Gemini fill of line %d not reserved in either region", line)
 	}
 	res := g.stacked.AccessRow(now, g.dmRowOf(g.dm.SetOf(line)), g.dmBurst, true)
 	return FillResult{Done: res.Done}

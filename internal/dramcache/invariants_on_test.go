@@ -100,6 +100,39 @@ func TestGeminiDualResidencyPanics(t *testing.T) {
 	mustPanicInv(t, "both regions", func() { access(g, 0, memaddr.Line(9), false) })
 }
 
+func TestGeminiUnreservedFillPanics(t *testing.T) {
+	d := dram.MustNew(dram.StackedConfig())
+	g, err := NewGemini(1<<20, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fill no read miss reserved a frame for is a bookkeeping bug.
+	mustPanicInv(t, "no miss reserved", func() { g.Fill(0, memaddr.Line(9)) })
+}
+
+// TestGeminiFillAfterInflightEviction: a conflicting miss may evict a
+// reserved frame before its fill lands. That is a legal state, so the
+// late fill must not trip the reservation check, while a second fill of
+// the same line must.
+func TestGeminiFillAfterInflightEviction(t *testing.T) {
+	d := dram.MustNew(dram.StackedConfig())
+	g, err := NewGemini(1<<20, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := memaddr.Line(9)
+	b := a + memaddr.Line(g.dm.Config().Sets) // same direct-mapped set
+	if r := access(g, 0, a, false); !r.Allocated {
+		t.Fatal("miss on a did not reserve a frame")
+	}
+	if r := access(g, 0, b, false); !r.Allocated || g.Contains(a) {
+		t.Fatal("conflicting miss on b did not evict a's reserved frame")
+	}
+	g.Fill(0, a)
+	g.Fill(0, b)
+	mustPanicInv(t, "no miss reserved", func() { g.Fill(0, a) })
+}
+
 func TestZooLegalAccessDoesNotPanic(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
 	orgs := []Organization{}

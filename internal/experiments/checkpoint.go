@@ -39,9 +39,13 @@ type checkpointFile struct {
 	Entries     []checkpointEntry `json:"entries"`
 }
 
+// checkpointEntry is one memo entry. The variant sits beside the point
+// (Point's own JSON omits it) and is absent for plain points, so files
+// written before variants existed load unchanged.
 type checkpointEntry struct {
-	Point  Point       `json:"point"`
-	Result core.Result `json:"result"`
+	Point   Point       `json:"point"`
+	Variant *Variant    `json:"variant,omitempty"`
+	Result  core.Result `json:"result"`
 }
 
 // checkpointWriter owns the checkpoint path and serializes snapshots.
@@ -97,7 +101,11 @@ func (r *Runner) EnableCheckpoint(path string) (restored int, err error) {
 		}
 		r.mu.Lock()
 		for _, e := range cf.Entries {
-			r.cache[e.Point] = e.Result
+			pt := e.Point
+			if e.Variant != nil {
+				pt.Variant = *e.Variant
+			}
+			r.cache[pt] = e.Result
 		}
 		restored = len(cf.Entries)
 		r.m.CheckpointHits += uint64(restored)
@@ -134,13 +142,18 @@ func (r *Runner) saveCheckpoint() error {
 	entries := make([]checkpointEntry, 0, len(r.cache))
 	//alloyvet:allow(determinism) collection order is irrelevant: sorted by point key below
 	for pt, res := range r.cache {
-		entries = append(entries, checkpointEntry{Point: pt, Result: res})
+		e := checkpointEntry{Point: pt, Result: res}
+		if pt.Variant != (Variant{}) {
+			v := pt.Variant
+			e.Variant = &v
+		}
+		entries = append(entries, e)
 	}
 	r.mu.Unlock()
 
 	// Deterministic entry order keeps successive snapshots diffable.
 	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Point.String() < entries[j].Point.String()
+		return entries[i].Point.label() < entries[j].Point.label()
 	})
 	cf := checkpointFile{
 		Version:     checkpointVersion,

@@ -104,7 +104,7 @@ func TestRunnerFlightDumpRetention(t *testing.T) {
 func TestFailureRecordCarriesFlight(t *testing.T) {
 	r := NewRunner(microParams())
 	key := r.normalize(Point{Workload: "mcf_r", Design: core.DesignAlloy})
-	r.noteFlight(key, `{"columns":["cycle"],"drops":0,"rows":[]}`)
+	r.noteFlight(key, []byte(`{"columns":["cycle"],"drops":0,"rows":[]}`))
 	r.recordFailure(key, 2, errors.New("post-run gate trip"))
 
 	recs := r.FailureRecords()
@@ -123,7 +123,7 @@ func TestFailureRecordCarriesFlight(t *testing.T) {
 func TestFlightRetentionEvictsOldest(t *testing.T) {
 	r := NewRunner(microParams())
 	for i := 0; i < flightCap+4; i++ {
-		r.noteFlight(Point{Workload: "w", CacheMB: uint64(i + 1)}, "dump")
+		r.noteFlight(Point{Workload: "w", CacheMB: uint64(i + 1)}, []byte("dump"))
 	}
 	r.mu.Lock()
 	n := len(r.flights)

@@ -90,99 +90,78 @@ func runSec56(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
-// ablSpeedup runs Alloy and the baseline under a mutated config and
-// returns the gmean speedup across the detailed workloads.
-func ablSpeedup(ctx context.Context, p Params, mutate func(*core.Config)) (float64, error) {
-	var speedups []float64
-	for _, wl := range DetailedWorkloads() {
-		mk := func(d core.Design) (core.Result, error) {
-			cfg := core.DefaultConfig(wl)
-			cfg.Design = d
-			cfg.Scale = p.Scale
-			cfg.InstructionsPerCore = p.InstructionsPerCore
-			cfg.WarmupRefs = p.WarmupRefs
-			cfg.Cores = p.Cores
-			cfg.GapScale = p.GapScale
-			cfg.Seed = p.Seed
-			mutate(&cfg)
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return core.Result{}, err
-			}
-			return sys.RunContext(ctx)
+// ablRow is one row of an ablation table: its label and the variant
+// both Alloy and the baseline are simulated under.
+type ablRow struct {
+	label string
+	v     Variant
+}
+
+// ablTable renders the gmean Alloy speedup across the detailed workloads
+// for each row's variant. The whole grid is prefetched first, so its
+// cells run in parallel and a row spelled at the defaults (MLP 2, 64
+// write-buffer entries, 4 channels, DIP) reuses the plain points.
+func ablTable(ctx context.Context, r *Runner, w io.Writer, header, caption string, rows []ablRow) error {
+	var points []Point
+	for _, row := range rows {
+		for _, wl := range DetailedWorkloads() {
+			points = append(points,
+				Point{Workload: wl, Design: core.DesignNone, Variant: row.v},
+				Point{Workload: wl, Design: core.DesignAlloy, Variant: row.v})
 		}
-		base, err := mk(core.DesignNone)
-		if err != nil {
-			return 0, err
-		}
-		alloy, err := mk(core.DesignAlloy)
-		if err != nil {
-			return 0, err
-		}
-		speedups = append(speedups, alloy.SpeedupOver(base))
 	}
-	return stats.GeoMean(speedups), nil
+	if err := r.Prefetch(ctx, points); err != nil {
+		return err
+	}
+	tab := stats.NewTable(header, "Alloy GMean Speedup")
+	for _, row := range rows {
+		_, gm, err := r.geoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: core.DesignAlloy, Variant: row.v})
+		if err != nil {
+			return err
+		}
+		tab.AddRow(row.label, fmt.Sprintf("%.3f", gm))
+	}
+	fmt.Fprintln(w, caption)
+	_, err := fmt.Fprint(w, tab.String())
+	return err
 }
 
 func runAblMLP(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("MLP window", "Alloy GMean Speedup")
+	var rows []ablRow
 	for _, mlp := range []int{1, 2, 4, 8} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.CPU.MLP = mlp })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(fmt.Sprintf("%d", mlp), fmt.Sprintf("%.3f", gm))
+		rows = append(rows, ablRow{fmt.Sprintf("%d", mlp), Variant{MLP: mlp}})
 	}
-	fmt.Fprintln(w, "Sensitivity of the Alloy Cache's benefit to the core's MLP window:")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablTable(ctx, r, w, "MLP window", "Sensitivity of the Alloy Cache's benefit to the core's MLP window:", rows)
 }
 
 func runAblWbuf(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("Write-buffer entries", "Alloy GMean Speedup")
+	var rows []ablRow
 	for _, n := range []int{8, 32, 64, 256} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.WriteBufferEntries = n })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.3f", gm))
+		rows = append(rows, ablRow{fmt.Sprintf("%d", n), Variant{WriteBuffer: n}})
 	}
-	fmt.Fprintln(w, "Sensitivity to memory-controller write-buffer depth:")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablTable(ctx, r, w, "Write-buffer entries", "Sensitivity to memory-controller write-buffer depth:", rows)
 }
 
 func runAblChan(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("Stacked channels", "Alloy GMean Speedup")
+	var rows []ablRow
 	for _, ch := range []int{1, 2, 4, 8} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.Stacked.Channels = ch })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(fmt.Sprintf("%d", ch), fmt.Sprintf("%.3f", gm))
+		rows = append(rows, ablRow{fmt.Sprintf("%d", ch), Variant{StackedChannels: ch}})
 	}
-	fmt.Fprintln(w, "Sensitivity to the stacked DRAM's channel count (paper assumes 4):")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablTable(ctx, r, w, "Stacked channels", "Sensitivity to the stacked DRAM's channel count (paper assumes 4):", rows)
 }
 
 func runAblL3Pol(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("L3 policy", "Alloy GMean Speedup")
+	var rows []ablRow
 	for _, pol := range []string{"lru", "dip", "srrip", "random"} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.L3Policy = pol })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(pol, fmt.Sprintf("%.3f", gm))
+		rows = append(rows, ablRow{pol, Variant{L3Policy: pol}})
 	}
-	fmt.Fprintln(w, "Sensitivity to the shared L3's replacement policy (paper uses DIP):")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablTable(ctx, r, w, "L3 policy", "Sensitivity to the shared L3's replacement policy (paper uses DIP):", rows)
 }
 
 // runAblSeeds replicates the headline Alloy-vs-LH comparison across five
 // workload seeds and reports mean and standard deviation of the gmean
-// speedups — the reproduction's statistical-robustness check.
+// speedups — the reproduction's statistical-robustness check. The seeds
+// are absolute: the one equal to Params.Seed reuses the plain points.
 func runAblSeeds(ctx context.Context, r *Runner, w io.Writer) error {
 	designs := []struct {
 		Label string
@@ -192,23 +171,26 @@ func runAblSeeds(ctx context.Context, r *Runner, w io.Writer) error {
 		{"Alloy", core.DesignAlloy},
 		{"IDEAL-LO", core.DesignIdealLO},
 	}
+	const seeds = 5
+	var points []Point
+	for _, d := range designs {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			for _, wl := range DetailedWorkloads() {
+				v := Variant{Seed: seed}
+				points = append(points,
+					Point{Workload: wl, Design: core.DesignNone, Variant: v},
+					Point{Workload: wl, Design: d.D, Variant: v})
+			}
+		}
+	}
+	if err := r.Prefetch(ctx, points); err != nil {
+		return err
+	}
 	tab := stats.NewTable("Design", "GMean Speedup (mean over 5 seeds)", "Stdev")
 	for _, d := range designs {
 		var gms []float64
-		for seed := uint64(1); seed <= 5; seed++ {
-			p := r.p
-			p.Seed = seed
-			sub := NewRunner(p)
-			var pts []Point
-			for _, wl := range DetailedWorkloads() {
-				pts = append(pts,
-					Point{Workload: wl, Design: core.DesignNone},
-					Point{Workload: wl, Design: d.D})
-			}
-			if err := sub.Prefetch(ctx, pts); err != nil {
-				return err
-			}
-			_, gm, err := sub.GeoMeanSpeedup(ctx, DetailedWorkloads(), d.D, core.PredDefault, 0)
+		for seed := uint64(1); seed <= seeds; seed++ {
+			_, gm, err := r.geoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: d.D, Variant: Variant{Seed: seed}})
 			if err != nil {
 				return err
 			}

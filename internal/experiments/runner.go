@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"alloysim/internal/core"
+	"alloysim/internal/cpu"
+	"alloysim/internal/dram"
 	"alloysim/internal/obs"
 	"alloysim/internal/stats"
 	"alloysim/internal/trace"
@@ -134,7 +136,7 @@ type Runner struct {
 // flightEntry pairs a point with its most recent flight dump.
 type flightEntry struct {
 	pt   Point
-	dump string
+	dump []byte
 }
 
 // flightCap bounds how many per-point flight dumps the runner retains.
@@ -206,12 +208,74 @@ type Point struct {
 	Design    core.Design        `json:"design"`
 	Predictor core.PredictorKind `json:"predictor"`
 	CacheMB   uint64             `json:"cache_mb"`
+	// Variant is the config delta from the runner's defaults. It is in
+	// neither String (alloysimd's content keys hash that 4-field form)
+	// nor Point's JSON (daemon grids are zero-variant); checkpoint
+	// entries carry it beside the point.
+	Variant Variant `json:"-"`
 }
 
-// String renders the point in the stable "workload|design|pred|MB" form
-// used by progress output.
+// String renders the point in the stable "workload|design|pred|MB" form.
+// It omits the variant; label includes it.
 func (pt Point) String() string {
 	return fmt.Sprintf("%s|%s|%s|%d", pt.Workload, pt.Design, pt.Predictor, pt.CacheMB)
+}
+
+// label is String plus the variant in brackets when there is one: the
+// form of progress lines, errors and failure summaries, and a total
+// order over points for sorted output.
+func (pt Point) label() string {
+	if v := pt.Variant.String(); v != "" {
+		return pt.String() + " [" + v + "]"
+	}
+	return pt.String()
+}
+
+// Variant is a config delta from the runner's defaults: the knobs the
+// ablation, seed and policy experiments turn. A zero field keeps the
+// default. Variant is comparable, so a Point with a variant is a memo key
+// like any other, and normalize collapses every field spelled at its
+// default to zero so such a point shares the plain point's memo slot.
+type Variant struct {
+	// MLP is the core's memory-level parallelism window (default 2).
+	MLP int `json:"mlp,omitempty"`
+	// WriteBuffer is the write-buffer depth below the L3 (default 64).
+	WriteBuffer int `json:"write_buffer,omitempty"`
+	// StackedChannels is the stacked DRAM's channel count (default 4).
+	StackedChannels int `json:"stacked_channels,omitempty"`
+	// L3Policy is the shared L3's replacement policy (default "dip").
+	L3Policy string `json:"l3_policy,omitempty"`
+	// DCPolicy overrides the DRAM cache's replacement policy. It is never
+	// collapsed: an explicit policy takes core's design x policy seeding
+	// path, which differs from the design's built-in default.
+	DCPolicy string `json:"dc_policy,omitempty"`
+	// Seed replaces Params.Seed for the workload generators.
+	Seed uint64 `json:"seed,omitempty"`
+}
+
+// String renders the non-zero fields as space-separated key=value pairs
+// in field order; the zero Variant renders as "".
+func (v Variant) String() string {
+	var f []string
+	if v.MLP != 0 {
+		f = append(f, fmt.Sprintf("mlp=%d", v.MLP))
+	}
+	if v.WriteBuffer != 0 {
+		f = append(f, fmt.Sprintf("wbuf=%d", v.WriteBuffer))
+	}
+	if v.StackedChannels != 0 {
+		f = append(f, fmt.Sprintf("chan=%d", v.StackedChannels))
+	}
+	if v.L3Policy != "" {
+		f = append(f, "l3pol="+v.L3Policy)
+	}
+	if v.DCPolicy != "" {
+		f = append(f, "dcpol="+v.DCPolicy)
+	}
+	if v.Seed != 0 {
+		f = append(f, fmt.Sprintf("seed=%d", v.Seed))
+	}
+	return strings.Join(f, " ")
 }
 
 // Normalize returns the canonical spelling of pt under this runner's
@@ -221,13 +285,30 @@ func (pt Point) String() string {
 func (r *Runner) Normalize(pt Point) Point { return r.normalize(pt) }
 
 // normalize applies the runner defaults that make distinct argument
-// spellings of the same simulation share one memo slot.
+// spellings of the same simulation share one memo slot: a variant field
+// spelled at its default is the default.
 func (r *Runner) normalize(pt Point) Point {
 	if pt.CacheMB == 0 {
 		pt.CacheMB = r.p.CacheMB
 	}
 	if pt.Design == core.DesignNone {
 		pt.CacheMB = 0 // baseline is independent of cache size
+	}
+	v := &pt.Variant
+	if v.MLP == cpu.DefaultConfig().MLP {
+		v.MLP = 0
+	}
+	if v.WriteBuffer == core.DefaultWriteBufferEntries {
+		v.WriteBuffer = 0
+	}
+	if v.StackedChannels == dram.StackedConfig().Channels {
+		v.StackedChannels = 0
+	}
+	if v.L3Policy == core.DefaultL3Policy {
+		v.L3Policy = ""
+	}
+	if v.Seed == r.p.Seed {
+		v.Seed = 0
 	}
 	return pt
 }
@@ -252,21 +333,21 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 		// context. Every point not launched gets its own recorded error, so
 		// callers can tell exactly which simulations never ran.
 		if err := ctx.Err(); err != nil {
-			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt, err)
+			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt.label(), err)
 			continue
 		}
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt, ctx.Err())
+			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt.label(), ctx.Err())
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if _, err := r.Run(ctx, pt.Workload, pt.Design, pt.Predictor, pt.CacheMB); err != nil {
-				errs[i] = fmt.Errorf("prefetch %s: %w", pt, err)
+			if _, err := r.RunPoint(ctx, pt); err != nil {
+				errs[i] = fmt.Errorf("prefetch %s: %w", pt.label(), err)
 			}
 		}()
 	}
@@ -280,8 +361,14 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 // Params returns the runner's parameters.
 func (r *Runner) Params() Params { return r.p }
 
-// Run simulates one (workload, design, predictor, cacheMB) point. cacheMB
-// is paper-scale; zero uses the runner default. Results are memoized;
+// Run simulates one (workload, design, predictor, cacheMB) point at the
+// runner's defaults: RunPoint with a zero Variant.
+func (r *Runner) Run(ctx context.Context, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) (core.Result, error) {
+	return r.RunPoint(ctx, Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
+}
+
+// RunPoint simulates one point. CacheMB is paper-scale; zero uses the
+// runner default. Results are memoized under the normalized point;
 // concurrent calls for the same point share a single execution, and
 // waiters share the leader's outcome, errors included — with one
 // exception: a leader whose own context is cancelled abandons the call
@@ -289,8 +376,8 @@ func (r *Runner) Params() Params { return r.p }
 // over as the new leader. A cancellation therefore only ever surfaces to
 // the caller whose context it belongs to, and the point still completes
 // as long as any interested caller survives.
-func (r *Runner) Run(ctx context.Context, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) (core.Result, error) {
-	key := r.normalize(Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
+func (r *Runner) RunPoint(ctx context.Context, pt Point) (core.Result, error) {
+	key := r.normalize(pt)
 
 	for {
 		r.mu.Lock()
@@ -305,7 +392,7 @@ func (r *Runner) Run(ctx context.Context, workload string, d core.Design, pk cor
 			// The joiner's request ID is logged here; the leader's was (or
 			// will be) logged by its own "point complete" record. Together
 			// they make singleflight coalescing reconstructable per request.
-			r.logw(ctx, slog.LevelDebug, "point joined inflight leader", slog.String("point", key.String()))
+			r.logw(ctx, slog.LevelDebug, "point joined inflight leader", key.logAttrs()...)
 			select {
 			case <-c.done:
 				if c.abandoned {
@@ -388,10 +475,9 @@ func (r *Runner) runPoint(ctx context.Context, key Point) (core.Result, error) {
 			}
 			delete(r.failures, key)
 			r.mu.Unlock()
-			r.progressf("  ran %s in %.2fs (attempt %d)\n", key, elapsed.Seconds(), attempt)
-			r.logw(ctx, slog.LevelInfo, "point complete",
-				slog.String("point", key.String()), slog.Int("attempt", attempt),
-				slog.Float64("wall_s", elapsed.Seconds()))
+			r.progressf("  ran %s in %.2fs (attempt %d)\n", key.label(), elapsed.Seconds(), attempt)
+			r.logw(ctx, slog.LevelInfo, "point complete", append(key.logAttrs(),
+				slog.Int("attempt", attempt), slog.Float64("wall_s", elapsed.Seconds()))...)
 			return res, nil
 		}
 		lastErr = err
@@ -404,10 +490,9 @@ func (r *Runner) runPoint(ctx context.Context, key Point) (core.Result, error) {
 			r.mu.Lock()
 			r.m.Retries++
 			r.mu.Unlock()
-			r.progressf("  retrying %s after attempt %d: %v\n", key, attempt, err)
-			r.logw(ctx, slog.LevelWarn, "point retrying",
-				slog.String("point", key.String()), slog.Int("attempt", attempt),
-				slog.String("error", err.Error()))
+			r.progressf("  retrying %s after attempt %d: %v\n", key.label(), attempt, err)
+			r.logw(ctx, slog.LevelWarn, "point retrying", append(key.logAttrs(),
+				slog.Int("attempt", attempt), slog.String("error", err.Error()))...)
 		}
 	}
 	// A leader abandoned by its own context is not a point failure: the
@@ -417,11 +502,20 @@ func (r *Runner) runPoint(ctx context.Context, key Point) (core.Result, error) {
 		r.mu.Lock()
 		r.m.Failures++
 		r.mu.Unlock()
-		r.logw(ctx, slog.LevelError, "point failed",
-			slog.String("point", key.String()), slog.Int("attempts", attempts),
-			slog.String("error", lastErr.Error()))
+		r.logw(ctx, slog.LevelError, "point failed", append(key.logAttrs(),
+			slog.Int("attempts", attempts), slog.String("error", lastErr.Error()))...)
 	}
 	return core.Result{}, lastErr
+}
+
+// logAttrs returns the slog attributes identifying a point: "point" in
+// the 4-field String form (log consumers parse it), plus "variant" when
+// the point has one.
+func (pt Point) logAttrs() []any {
+	if v := pt.Variant.String(); v != "" {
+		return []any{slog.String("point", pt.String()), slog.String("variant", v)}
+	}
+	return []any{slog.String("point", pt.String())}
 }
 
 // permanentError wraps failures that no retry can fix (configuration
@@ -446,17 +540,15 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, err
 	}
 	res, err := sys.RunContext(ctx)
 	if fr != nil {
-		var sb strings.Builder
-		if werr := fr.WriteJSON(&sb); werr == nil {
-			r.noteFlight(key, sb.String())
-		}
+		r.noteFlight(key, fr.AppendJSON(nil))
 	}
 	return res, err
 }
 
 // pointConfig derives the core.Config one point simulates under the
-// runner's params — the single source of truth shared by the memoized
-// sweep and the phase experiment's instrumented direct runs.
+// runner's params and the point's variant — the single source of truth
+// shared by the memoized sweep and the phase experiment's instrumented
+// direct runs.
 func (r *Runner) pointConfig(key Point) core.Config {
 	cfg := core.DefaultConfig(key.Workload)
 	cfg.Design = key.Design
@@ -470,12 +562,29 @@ func (r *Runner) pointConfig(key Point) core.Config {
 	if key.CacheMB > 0 {
 		cfg.DRAMCacheBytes = key.CacheMB << 20
 	}
+	v := key.Variant
+	if v.MLP != 0 {
+		cfg.CPU.MLP = v.MLP
+	}
+	if v.WriteBuffer != 0 {
+		cfg.WriteBufferEntries = v.WriteBuffer
+	}
+	if v.StackedChannels != 0 {
+		cfg.Stacked.Channels = v.StackedChannels
+	}
+	if v.L3Policy != "" {
+		cfg.L3Policy = v.L3Policy
+	}
+	cfg.DCPolicy = v.DCPolicy
+	if v.Seed != 0 {
+		cfg.Seed = v.Seed
+	}
 	return cfg
 }
 
 // noteFlight records a point's most recent flight dump, evicting the
 // oldest entry past flightCap.
-func (r *Runner) noteFlight(key Point, dump string) {
+func (r *Runner) noteFlight(key Point, dump []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range r.flights {
@@ -498,7 +607,7 @@ func (r *Runner) FlightDump(pt Point) (string, bool) {
 	defer r.mu.Unlock()
 	for i := range r.flights {
 		if r.flights[i].pt == key {
-			return r.flights[i].dump, true
+			return string(r.flights[i].dump), true
 		}
 	}
 	return "", false
@@ -514,7 +623,7 @@ func (r *Runner) LastFlightDump() (Point, string, bool) {
 		return Point{}, "", false
 	}
 	e := r.flights[len(r.flights)-1]
-	return e.pt, e.dump, true
+	return e.pt, string(e.dump), true
 }
 
 // recordFailure updates the per-point failure record, attaching the
@@ -533,7 +642,7 @@ func (r *Runner) recordFailure(key Point, attempt int, err error) {
 	f.Err = err.Error()
 	for i := range r.flights {
 		if r.flights[i].pt == key {
-			f.Flight = r.flights[i].dump
+			f.Flight = string(r.flights[i].dump)
 			break
 		}
 	}
@@ -549,7 +658,7 @@ func (r *Runner) FailureRecords() []FailureRecord {
 	for _, f := range r.failures {
 		out = append(out, *f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Point.String() < out[j].Point.String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Point.label() < out[j].Point.label() })
 	return out
 }
 
@@ -580,7 +689,7 @@ func (r *Runner) WriteSummary(w io.Writer) {
 		if f.Flight != "" {
 			note = " [flight recording attached]"
 		}
-		r.pw.Fprintf(w, "  failed: %s after %d attempt(s): %s%s\n", f.Point, f.Attempts, f.Err, note)
+		r.pw.Fprintf(w, "  failed: %s after %d attempt(s): %s%s\n", f.Point.label(), f.Attempts, f.Err, note)
 	}
 }
 
@@ -604,11 +713,17 @@ func (r *Runner) progressf(format string, args ...interface{}) {
 
 // Speedup returns the speedup of a design run over the workload baseline.
 func (r *Runner) Speedup(ctx context.Context, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) (float64, error) {
-	base, err := r.Run(ctx, workload, core.DesignNone, core.PredDefault, 0)
+	return r.speedup(ctx, Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
+}
+
+// speedup returns pt's speedup over its workload's baseline simulated
+// under the same variant.
+func (r *Runner) speedup(ctx context.Context, pt Point) (float64, error) {
+	base, err := r.RunPoint(ctx, Point{Workload: pt.Workload, Design: core.DesignNone, Variant: pt.Variant})
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.Run(ctx, workload, d, pk, cacheMB)
+	res, err := r.RunPoint(ctx, pt)
 	if err != nil {
 		return 0, err
 	}
@@ -637,10 +752,17 @@ func OtherWorkloads() []string {
 // GeoMeanSpeedup runs a design over all workloads and returns per-workload
 // speedups plus their geometric mean.
 func (r *Runner) GeoMeanSpeedup(ctx context.Context, workloads []string, d core.Design, pk core.PredictorKind, cacheMB uint64) (map[string]float64, float64, error) {
+	return r.geoMeanSpeedup(ctx, workloads, Point{Design: d, Predictor: pk, CacheMB: cacheMB})
+}
+
+// geoMeanSpeedup is GeoMeanSpeedup for the design, predictor, size and
+// variant of pt, whose Workload it ignores.
+func (r *Runner) geoMeanSpeedup(ctx context.Context, workloads []string, pt Point) (map[string]float64, float64, error) {
 	per := make(map[string]float64, len(workloads))
 	var vals []float64
 	for _, w := range workloads {
-		s, err := r.Speedup(ctx, w, d, pk, cacheMB)
+		pt.Workload = w
+		s, err := r.speedup(ctx, pt)
 		if err != nil {
 			return nil, 0, err
 		}

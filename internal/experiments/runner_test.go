@@ -387,6 +387,15 @@ func TestPointString(t *testing.T) {
 	if got, want := pt.String(), "mcf_r|alloy||256"; got != want {
 		t.Fatalf("Point.String() = %q, want %q", got, want)
 	}
+	// A variant stays out of String (content keys and log consumers parse
+	// the 4-field form) and shows in the progress label.
+	pt.Variant = Variant{MLP: 4, DCPolicy: "ship", Seed: 3}
+	if got, want := pt.String(), "mcf_r|alloy||256"; got != want {
+		t.Fatalf("variant Point.String() = %q, want %q", got, want)
+	}
+	if got, want := pt.label(), "mcf_r|alloy||256 [mlp=4 dcpol=ship seed=3]"; got != want {
+		t.Fatalf("Point.label() = %q, want %q", got, want)
+	}
 }
 
 // TestPrefetchRecordsSkippedPoints: a cancellation must leave a wrapped

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -159,7 +160,8 @@ func (f *FlightRecorder) eachRow(fn func(ring int) error) error {
 
 // WriteJSON renders the ring (oldest-first) and the recent sampled spans
 // as one object with a fixed field order, hand-formatted so identical
-// states produce byte-identical dumps:
+// states produce byte-identical dumps. It is the reference rendering that
+// AppendJSON must reproduce byte for byte:
 //
 //	{"columns":[...],"drops":N,"rows":[["cycle",v...],...],
 //	 "spans_sampled":S,"spans":[{...},...]}
@@ -224,6 +226,79 @@ func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 	return err
 }
 
+// AppendJSON appends exactly WriteJSON's bytes to dst and returns the
+// extended slice. It formats with strconv instead of fmt, so rendering a
+// dump costs only dst's growth: the Runner renders every point's dump
+// this way and keeps the bytes, never the recorder (whose column
+// closures pin the whole simulated system).
+func (f *FlightRecorder) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"columns":["cycle"`...)
+	if f != nil {
+		for _, c := range f.cols {
+			dst = append(dst, ',')
+			dst = strconv.AppendQuote(dst, c.name)
+		}
+	}
+	dst = append(dst, `],"drops":`...)
+	dst = strconv.AppendUint(dst, f.Drops(), 10)
+	dst = append(dst, `,"rows":[`...)
+	if f != nil {
+		start := f.head - f.n
+		if start < 0 {
+			start += f.cap
+		}
+		for i := 0; i < f.n; i++ {
+			ring := (start + i) % f.cap
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n["...)
+			dst = strconv.AppendUint(dst, f.cycles[ring], 10)
+			base := ring * len(f.cols)
+			for _, v := range f.data[base : base+len(f.cols)] {
+				dst = append(dst, ',')
+				dst = strconv.AppendUint(dst, v, 10)
+			}
+			dst = append(dst, ']')
+		}
+	}
+	dst = append(dst, "\n],\"spans_sampled\":"...)
+	t := f.Tracer()
+	dst = strconv.AppendUint(dst, t.Sampled(), 10)
+	dst = append(dst, `,"spans":[`...)
+	if t != nil {
+		first := true
+		// eachSpan's callback never fails here.
+		_ = t.eachSpan(func(s *Span) error {
+			if first {
+				dst = append(dst, '\n')
+				first = false
+			} else {
+				dst = append(dst, ",\n"...)
+			}
+			dst = append(dst, `{"req":`...)
+			dst = strconv.AppendUint(dst, s.ReqID, 10)
+			dst = append(dst, `,"kind":`...)
+			dst = strconv.AppendQuote(dst, s.Kind.String())
+			dst = append(dst, `,"start":`...)
+			dst = strconv.AppendUint(dst, s.Start, 10)
+			dst = append(dst, `,"dur":`...)
+			dst = strconv.AppendUint(dst, s.Dur, 10)
+			dst = append(dst, `,"core":`...)
+			dst = strconv.AppendInt(dst, int64(s.Core), 10)
+			dst = append(dst, `,"line":`...)
+			dst = strconv.AppendUint(dst, s.Line, 10)
+			if s.Hit {
+				dst = append(dst, `,"hit":1}`...)
+			} else {
+				dst = append(dst, `,"hit":0}`...)
+			}
+			return nil
+		})
+	}
+	return append(dst, "\n]}\n"...)
+}
+
 // PublishSnapshot renders the current state and stores it for concurrent
 // scrapers; call from the sampling goroutine at synchronization points
 // (the same place Registry.PublishSnapshot is called). Until the first
@@ -233,11 +308,7 @@ func (f *FlightRecorder) PublishSnapshot() {
 	if f == nil {
 		return
 	}
-	var sb strings.Builder
-	if err := f.WriteJSON(&sb); err != nil {
-		return
-	}
-	b := []byte(sb.String())
+	b := f.AppendJSON(nil)
 	f.snap.Store(&b)
 }
 
