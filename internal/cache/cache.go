@@ -145,11 +145,12 @@ func New(cfg Config) (*Cache, error) {
 // one way to evict, and no state to keep. It reports the configured name.
 type directMapped string
 
-func (directMapped) Touch(int, int)  {}
-func (directMapped) Insert(int, int) {}
-func (directMapped) Victim(int) int  { return 0 }
-func (directMapped) Miss(int)        {}
-func (p directMapped) Name() string  { return string(p) }
+func (directMapped) Touch(int, int)         {}
+func (directMapped) Insert(int, int)        {}
+func (directMapped) Victim(int) int         { return 0 }
+func (directMapped) Miss(int)               {}
+func (p directMapped) Name() string         { return string(p) }
+func (directMapped) CopyFrom(policy.Policy) {}
 
 // MustNew is New but panics on error; for tests and fixed configurations.
 func MustNew(cfg Config) *Cache {
@@ -162,6 +163,22 @@ func MustNew(cfg Config) *Cache {
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
+
+// CopyFrom overwrites c's contents, replacement state and statistics
+// with src's, so c behaves from here on exactly as src would. The caches
+// must share a configuration. Only c is written: concurrent CopyFrom
+// calls may share one src. The copy allocates nothing.
+func (c *Cache) CopyFrom(src *Cache) error {
+	if c.cfg != src.cfg {
+		return fmt.Errorf("cache: CopyFrom between configurations %+v and %+v", src.cfg, c.cfg)
+	}
+	copy(c.lines, src.lines)
+	copy(c.valid, src.valid)
+	copy(c.dirty, src.dirty)
+	c.pol.CopyFrom(src.pol)
+	c.stats = src.stats
+	return nil
+}
 
 // Stats returns a copy of the event counts.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"alloysim/internal/memaddr"
+	"alloysim/internal/policy"
 )
 
 func mk(t *testing.T, sets, assoc int, pol string) *Cache {
@@ -271,5 +272,54 @@ func TestSRRIPPolicyInCache(t *testing.T) {
 		if !c.Contains(l) {
 			t.Fatalf("SRRIP evicted hot line %d for a scan", l)
 		}
+	}
+}
+
+// TestCopyFromReplaysAccesses: a cache that copied another's state answers
+// every later access exactly as the original does — hits, evictions and
+// dirty bits — under every policy, direct-mapped included. The copy's
+// target first runs a different stream, so anything CopyFrom leaves out
+// is stale.
+func TestCopyFromReplaysAccesses(t *testing.T) {
+	stream := func(seed uint64, n int) []memaddr.Line {
+		out := make([]memaddr.Line, n)
+		x := seed
+		for i := range out {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			out[i] = memaddr.Line(x % 2048)
+		}
+		return out
+	}
+	for _, pol := range policy.Known() {
+		for _, assoc := range []int{1, 16} {
+			cfg := Config{Sets: 37, Assoc: assoc, Policy: pol}
+			src, dst := MustNew(cfg), MustNew(cfg)
+			for i, l := range stream(1, 4_000) {
+				src.Access(l, i%3 == 0)
+			}
+			for i, l := range stream(2, 1_000) {
+				dst.Access(l, i%2 == 0)
+			}
+			if err := dst.CopyFrom(src); err != nil {
+				t.Fatal(err)
+			}
+			if dst.Stats() != src.Stats() || dst.Occupancy() != src.Occupancy() {
+				t.Fatalf("%s/%d: stats or occupancy differ right after CopyFrom", pol, assoc)
+			}
+			for i, l := range stream(3, 10_000) {
+				write := i%5 == 0
+				h1, e1 := src.Access(l, write)
+				h2, e2 := dst.Access(l, write)
+				if h1 != h2 || e1 != e2 {
+					t.Fatalf("%s/%d: access %d (line %d): original (%v, %+v), copy (%v, %+v)", pol, assoc, i, l, h1, e1, h2, e2)
+				}
+			}
+		}
+	}
+	a := MustNew(Config{Sets: 4, Assoc: 2, Policy: "lru"})
+	if err := a.CopyFrom(MustNew(Config{Sets: 4, Assoc: 2, Policy: "dip"})); err == nil {
+		t.Fatal("CopyFrom across configurations succeeded")
 	}
 }

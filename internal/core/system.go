@@ -85,6 +85,11 @@ type System struct {
 	readRes  dramcache.AccessResult
 	writeRes dramcache.AccessResult
 
+	// tape, when restored from a warm tape (RestoreWarm), replaces the
+	// warm-up's L3 step; rec, set only by RecordWarm, records it.
+	tape tapeReader
+	rec  *WarmTape
+
 	ran bool
 }
 
@@ -314,9 +319,17 @@ func (s *System) publishMetrics() {
 // measurement starts from warm contents and cold clocks. It checks ctx
 // periodically so long warmups cancel as promptly as the measured phase.
 //
+// The front-end always runs: the generators (and any private L2) must
+// reach their post-warm-up state. The L3 step is live (warmL3), or, when
+// the System was restored from a tape, read from the tape, with the L3
+// state copied in at the end. Either way the organization sees the same
+// stream: warm-up never reads the organization's results, the predictor
+// or simulated time, so nothing the tape leaves out can change it.
+//
 //alloyvet:hotpath
 func (s *System) warm(ctx context.Context) error {
 	wr := &s.writeRes // scratch: warmup discards access timing
+	tape := &s.tape
 	for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
 		if n&0xfff == 0 {
 			if err := ctx.Err(); err != nil {
@@ -330,22 +343,28 @@ func (s *System) warm(ctx context.Context) error {
 			}
 			// ref.L2WB is deliberately ignored: warmup streams contents
 			// only, and an L2 victim writeback installs no new line below.
-			if ref.Write {
-				if !s.l3.Probe(ref.Line, true) && s.org != nil {
-					s.org.AccessInto(0, ref.Line, true, wr)
-				}
+			var op warmOp
+			var victim memaddr.Line
+			if tape.t != nil {
+				op, victim = tape.next()
+			} else {
+				op, victim = s.warmL3(ref)
+			}
+			if s.org == nil {
 				continue
 			}
-			hit, ev := s.l3.Access(ref.Line, false)
-			if hit {
-				continue
-			}
-			if s.org != nil {
-				if ev.Valid && ev.Dirty {
-					s.org.AccessInto(0, ev.Line, true, wr)
-				}
+			switch op {
+			case warmVictimAccess:
+				s.org.AccessInto(0, victim, true, wr)
 				s.org.AccessInto(0, ref.Line, false, wr)
+			case warmAccess:
+				s.org.AccessInto(0, ref.Line, ref.Write, wr)
 			}
+		}
+	}
+	if tape.t != nil {
+		if err := tape.finish(s.l3); err != nil {
+			return err
 		}
 	}
 	s.mem.Reset()
@@ -358,6 +377,27 @@ func (s *System) warm(ctx context.Context) error {
 		s.org.ResetStats()
 	}
 	return nil
+}
+
+// warmL3 is warm's live L3 step: it looks ref up in the L3 and returns
+// what goes below, recording it when the System records a tape.
+//
+//alloyvet:hotpath
+func (s *System) warmL3(ref cpu.FrontRef) (op warmOp, victim memaddr.Line) {
+	if ref.Write {
+		if !s.l3.Probe(ref.Line, true) {
+			op = warmAccess
+		}
+	} else if hit, ev := s.l3.Access(ref.Line, false); !hit {
+		op = warmAccess
+		if ev.Valid && ev.Dirty {
+			op, victim = warmVictimAccess, ev.Line
+		}
+	}
+	if s.rec != nil {
+		s.rec.record(op, victim)
+	}
+	return op, victim
 }
 
 // Read implements cpu.MemPort: the demand-load path. It returns the cycle

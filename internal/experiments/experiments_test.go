@@ -176,3 +176,28 @@ func TestGeoMeanSpeedup(t *testing.T) {
 		t.Fatalf("per=%v gm=%v", per, gm)
 	}
 }
+
+// TestTable3HonorsSeed: table3 derives its configs from the runner's
+// point config, so Params.Seed reaches its generators like every other
+// experiment's (it once ran at seed 1 whatever the seed).
+func TestTable3HonorsSeed(t *testing.T) {
+	p := microParams()
+	p.InstructionsPerCore = 20_000
+	p.WarmupRefs = 2_000
+	render := func(seed uint64) string {
+		p.Seed = seed
+		r := NewRunner(p)
+		if got := r.table3Config("mcf_r").Seed; got != seed {
+			t.Fatalf("table3 config seed %d, want Params.Seed %d", got, seed)
+		}
+		e, _ := ByID("table3")
+		var buf bytes.Buffer
+		if err := e.Run(context.Background(), r, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if a, b := render(1), render(7); a == b {
+		t.Fatalf("table3 renders the same table at seeds 1 and 7:\n%s", a)
+	}
+}

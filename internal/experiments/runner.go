@@ -131,6 +131,48 @@ type Runner struct {
 	// point's FailureRecord; success dumps serve the validate harness,
 	// which attaches them to gate-trip reports after runs complete.
 	flights []flightEntry //alloyvet:guard mu
+
+	// lazy holds the state the runner creates on first use rather than
+	// in NewRunner (see scratchLocked).
+	lazy *runnerScratch //alloyvet:guard mu
+
+	// recordWarm builds a warm tape; tests substitute it to stall or fail
+	// builds.
+	//alloyvet:owner NewRunner; immutable outside tests
+	recordWarm func(ctx context.Context, cfg core.Config) (*core.WarmTape, error)
+}
+
+// runnerScratch is the runner state that only some runs need.
+type runnerScratch struct {
+	// warm holds a warm tape slot per warm key that a running Prefetch
+	// still has pending points for (see warmTape). A slot is dropped,
+	// tape and all, when its last pending point finishes.
+	warm map[core.WarmKey]*warmSlot
+	// flightBufs are idle buffers for rendering flight dumps
+	// (renderFlight); there are at most as many as points ever rendered
+	// at once.
+	flightBufs [][]byte
+}
+
+// scratchLocked returns the runner's scratch state, creating it on first use.
+// The caller holds mu.
+func (r *Runner) scratchLocked() *runnerScratch {
+	if r.lazy == nil {
+		r.lazy = &runnerScratch{warm: make(map[core.WarmKey]*warmSlot)}
+	}
+	return r.lazy
+}
+
+// warmSlot is the shared warm-up of one warm key while a Prefetch needs
+// it.
+type warmSlot struct {
+	pending int            // Prefetch points that may still ask for the tape
+	tape    *core.WarmTape // nil until built
+	// building is non-nil while a leader records the tape and is closed
+	// when it stops, with or without a tape. A leader that fails leaves
+	// tape nil, so a waiter takes over instead of inheriting an error
+	// that may belong to the leader's context alone.
+	building chan struct{}
 }
 
 // flightEntry pairs a point with its most recent flight dump.
@@ -187,6 +229,12 @@ type Metrics struct {
 	SimWall time.Duration
 	// MaxPointWall is the slowest successful simulation.
 	MaxPointWall time.Duration
+	// WarmBuilds counts warm tapes recorded: one per warm key per
+	// Prefetch that simulates at least minTapePoints of its points.
+	WarmBuilds uint64
+	// WarmRestores counts simulations that took their warm-up from a
+	// tape instead of warming the L3 live.
+	WarmRestores uint64
 }
 
 // NewRunner creates a runner.
@@ -199,6 +247,7 @@ func NewRunner(p Params) *Runner {
 		pw:       obs.NewSyncWriter(p.Progress),
 	}
 	r.simulate = r.simulatePoint
+	r.recordWarm = core.RecordWarm
 	return r
 }
 
@@ -318,34 +367,45 @@ func (r *Runner) normalize(pt Point) Point {
 // completion even when some fail; every failure is reported, joined in
 // input order. Cancelling ctx stops launching new points and cancels the
 // in-flight ones.
+//
+// The points of one workload share a warm-up: when at least
+// minTapePoints of them are pending, the first to simulate records it as
+// a warm tape and every one restores from it (warmTape). Points launch
+// grouped by warm key, groups in order of first occurrence, so a tape is
+// live only while its group runs and about Parallelism tapes exist at
+// once.
 func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 	par := r.p.Parallelism
 	if par <= 0 {
 		par = runtime.NumCPU()
 	}
+	order, keys, held := r.holdWarm(points)
 	sem := make(chan struct{}, par)
 	errs := make([]error, len(points))
 	var wg sync.WaitGroup
-	for i, pt := range points {
-		i, pt := i, pt
+	for _, i := range order {
+		i, pt := i, points[i]
 		// Consult the context before the semaphore: a two-way select would
 		// nondeterministically pick a free slot over an already-cancelled
 		// context. Every point not launched gets its own recorded error, so
 		// callers can tell exactly which simulations never ran.
 		if err := ctx.Err(); err != nil {
 			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt.label(), err)
+			r.releaseWarm(keys[i], held[i])
 			continue
 		}
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
 			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt.label(), ctx.Err())
+			r.releaseWarm(keys[i], held[i])
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
+			defer r.releaseWarm(keys[i], held[i])
 			if _, err := r.RunPoint(ctx, pt); err != nil {
 				errs[i] = fmt.Errorf("prefetch %s: %w", pt.label(), err)
 			}
@@ -356,6 +416,130 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 	// in-flight worker — the wait cannot outlive the workers.
 	wg.Wait() //alloyvet:allow(ctxflow)
 	return errors.Join(errs...)
+}
+
+// holdWarm registers a Prefetch's interest in warm tapes. It returns the
+// launch order (points grouped by warm key, groups in first-occurrence
+// order), each point's warm key, and whether the point holds a pending
+// count on its key's slot: a keyed point not already in the memo does.
+// Each held count is given back by releaseWarm.
+func (r *Runner) holdWarm(points []Point) (order []int, keys []core.WarmKey, held []bool) {
+	keys = make([]core.WarmKey, len(points))
+	held = make([]bool, len(points))
+	group := make(map[core.WarmKey]int) // warm key -> index into groups
+	var groups [][]int
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, pt := range points {
+		pt = r.normalize(pt)
+		k, ok := r.pointConfig(pt).WarmKey()
+		if !ok {
+			groups = append(groups, []int{i})
+			continue
+		}
+		g, seen := group[k]
+		if !seen {
+			g = len(groups)
+			group[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+		keys[i] = k
+		if _, done := r.cache[pt]; done {
+			continue
+		}
+		warm := r.scratchLocked().warm
+		slot := warm[k]
+		if slot == nil {
+			slot = &warmSlot{}
+			warm[k] = slot
+		}
+		slot.pending++
+		held[i] = true
+	}
+	order = make([]int, 0, len(points))
+	for _, g := range groups {
+		order = append(order, g...)
+	}
+	return order, keys, held
+}
+
+// releaseWarm gives back one pending count on k's slot, dropping the slot
+// and its tape with the last one.
+func (r *Runner) releaseWarm(k core.WarmKey, held bool) {
+	if !held {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	warm := r.lazy.warm
+	slot := warm[k]
+	if slot.pending--; slot.pending == 0 {
+		delete(warm, k)
+	}
+}
+
+// minTapePoints is the fewest pending points a warm tape is recorded
+// for. Recording costs one generator and L3 pass, and restoring still
+// regenerates every reference, so a tape saves one L3 pass per point
+// minus one generator pass; measured at DefaultParams, groups of two and
+// four points ran slower with a tape than without.
+const minTapePoints = 5
+
+// warmTape returns the warm tape cfg's simulation should restore from, or
+// nil to warm live: nil when no Prefetch holds cfg's warm key, or when
+// fewer than minTapePoints pending points would use a tape not yet
+// built. The first caller to need the tape records it; concurrent
+// callers wait for that leader. A leader that fails, its own context
+// cancelled included, leaves no tape behind, and a waiter whose context
+// is live records it instead.
+func (r *Runner) warmTape(ctx context.Context, cfg core.Config) (*core.WarmTape, error) {
+	k, ok := cfg.WarmKey()
+	if !ok {
+		return nil, nil
+	}
+	for {
+		r.mu.Lock()
+		var slot *warmSlot
+		if r.lazy != nil {
+			slot = r.lazy.warm[k]
+		}
+		switch {
+		case slot == nil:
+			r.mu.Unlock()
+			return nil, nil
+		case slot.tape != nil:
+			r.mu.Unlock()
+			return slot.tape, nil
+		case slot.building != nil:
+			building := slot.building
+			r.mu.Unlock()
+			select {
+			case <-building:
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		case slot.pending < minTapePoints:
+			r.mu.Unlock()
+			return nil, nil
+		}
+		building := make(chan struct{})
+		slot.building = building
+		r.mu.Unlock()
+
+		tape, err := r.recordWarm(ctx, cfg)
+
+		r.mu.Lock()
+		slot.building = nil
+		if err == nil {
+			slot.tape = tape
+			r.m.WarmBuilds++
+		}
+		r.mu.Unlock()
+		close(building)
+		return tape, err
+	}
 }
 
 // Params returns the runner's parameters.
@@ -526,12 +710,26 @@ func (p permanentError) Error() string { return p.err.Error() }
 func (p permanentError) Unwrap() error { return p.err }
 
 // simulatePoint is the real point execution: build a system from the
-// runner params and run it under ctx, with the always-on flight
+// runner params, restore its warm-up from the workload's warm tape when
+// a Prefetch shares one, and run it under ctx, with the always-on flight
 // recorder attached so a failing run leaves its final epochs behind.
 func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, error) {
-	sys, err := core.NewSystem(r.pointConfig(key))
+	cfg := r.pointConfig(key)
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return core.Result{}, permanentError{err}
+	}
+	tape, err := r.warmTape(ctx, cfg)
+	if err != nil {
+		return core.Result{}, fmt.Errorf("recording warm tape: %w", err)
+	}
+	if tape != nil {
+		if err := sys.RestoreWarm(tape); err != nil {
+			return core.Result{}, permanentError{err}
+		}
+		r.mu.Lock()
+		r.m.WarmRestores++
+		r.mu.Unlock()
 	}
 	var fr *obs.FlightRecorder
 	if !r.p.DisableFlight {
@@ -540,9 +738,30 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, err
 	}
 	res, err := sys.RunContext(ctx)
 	if fr != nil {
-		r.noteFlight(key, fr.AppendJSON(nil))
+		r.noteFlight(key, r.renderFlight(fr))
 	}
 	return res, err
+}
+
+// renderFlight returns fr's JSON dump in a slice of exactly its length.
+// It renders into one of the runner's scratch buffers and copies out:
+// appending into a fresh slice would allocate four to five times the
+// dump as the slice grows.
+func (r *Runner) renderFlight(fr *obs.FlightRecorder) []byte {
+	var buf []byte
+	r.mu.Lock()
+	sc := r.scratchLocked()
+	if n := len(sc.flightBufs); n > 0 {
+		buf, sc.flightBufs = sc.flightBufs[n-1], sc.flightBufs[:n-1]
+	}
+	r.mu.Unlock()
+	buf = fr.AppendJSON(buf[:0])
+	dump := make([]byte, len(buf))
+	copy(dump, buf)
+	r.mu.Lock()
+	sc.flightBufs = append(sc.flightBufs, buf)
+	r.mu.Unlock()
+	return dump
 }
 
 // pointConfig derives the core.Config one point simulates under the
@@ -681,9 +900,9 @@ func (r *Runner) WriteSummary(w io.Writer) {
 	if m.PointsRun > 0 {
 		mean = m.SimWall / time.Duration(m.PointsRun)
 	}
-	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d inflight_joins=%d retries=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f\n",
+	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d inflight_joins=%d retries=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_builds=%d warm_restores=%d\n",
 		m.PointsRun, m.MemoHits, m.CheckpointHits, m.FlightJoins, m.Retries, m.Failures,
-		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds())
+		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmBuilds, m.WarmRestores)
 	for _, f := range r.FailureRecords() {
 		note := ""
 		if f.Flight != "" {
@@ -703,6 +922,8 @@ func (r *Runner) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.RegisterCounterFunc(prefix+"_inflight_joins_total", "Run calls that joined a concurrent duplicate", func() uint64 { return r.Metrics().FlightJoins })
 	reg.RegisterCounterFunc(prefix+"_retries_total", "re-attempts after transient failures", func() uint64 { return r.Metrics().Retries })
 	reg.RegisterCounterFunc(prefix+"_failures_total", "points whose every attempt failed", func() uint64 { return r.Metrics().Failures })
+	reg.RegisterCounterFunc(prefix+"_warm_builds_total", "warm tapes recorded", func() uint64 { return r.Metrics().WarmBuilds })
+	reg.RegisterCounterFunc(prefix+"_warm_restores_total", "simulations whose warm-up was restored from a tape", func() uint64 { return r.Metrics().WarmRestores })
 	reg.RegisterGaugeFunc(prefix+"_sim_wall_seconds", "cumulative wall time inside successful simulations", func() float64 { return r.Metrics().SimWall.Seconds() })
 }
 

@@ -347,6 +347,9 @@ func TestWriteSummaryShape(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), want) {
 		t.Fatalf("summary = %q, want prefix %q", buf.String(), want)
 	}
+	if tail := " warm_builds=0 warm_restores=0\n"; !strings.HasSuffix(buf.String(), tail) {
+		t.Fatalf("summary = %q, want suffix %q", buf.String(), tail)
+	}
 	if n := strings.Count(buf.String(), "\n"); n != 1 {
 		t.Fatalf("summary spans %d lines, want exactly 1:\n%s", n, buf.String())
 	}

@@ -155,15 +155,7 @@ func runTable1(ctx context.Context, r *Runner, w io.Writer) error {
 func runTable3(ctx context.Context, r *Runner, w io.Writer) error {
 	tab := stats.NewTable("Workload", "Perfect-L3 Speedup", "MPKI", "Footprint (scaled)")
 	for _, wl := range DetailedWorkloads() {
-		cfg := core.DefaultConfig(wl)
-		cfg.Scale = r.p.Scale
-		cfg.InstructionsPerCore = r.p.InstructionsPerCore / 2
-		cfg.WarmupRefs = r.p.WarmupRefs / 4
-		cfg.Cores = r.p.Cores
-		cfg.GapScale = r.p.GapScale
-		cfg.Design = core.DesignNone
-		cfg.TrackFootprint = true
-		sys, err := core.NewSystem(cfg)
+		sys, err := core.NewSystem(r.table3Config(wl))
 		if err != nil {
 			return err
 		}
@@ -185,6 +177,16 @@ func runTable3(ctx context.Context, r *Runner, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nFootprints are at 1/%d capacity scale; multiply by %d for paper scale.\n", r.p.Scale, r.p.Scale)
 	return nil
+}
+
+// table3Config is the workload's baseline point config at half the
+// instruction budget and a quarter of the warm-up, counting footprint.
+func (r *Runner) table3Config(wl string) core.Config {
+	cfg := r.pointConfig(Point{Workload: wl, Design: core.DesignNone})
+	cfg.InstructionsPerCore = r.p.InstructionsPerCore / 2
+	cfg.WarmupRefs = r.p.WarmupRefs / 4
+	cfg.TrackFootprint = true
+	return cfg
 }
 
 func runFig6(ctx context.Context, r *Runner, w io.Writer) error {

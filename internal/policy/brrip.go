@@ -42,3 +42,10 @@ func (p *BRRIP) Miss(int) {}
 
 // Victim implements Policy: first distant line, aging the set as needed.
 func (p *BRRIP) Victim(set int) int { return p.srrip.Victim(set) }
+
+// CopyFrom implements Policy.
+func (p *BRRIP) CopyFrom(src Policy) {
+	q := src.(*BRRIP)
+	p.srrip.CopyFrom(q.srrip)
+	p.counter = q.counter
+}

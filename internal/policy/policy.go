@@ -23,6 +23,11 @@ type Policy interface {
 	Miss(set int)
 	// Name identifies the policy in reports.
 	Name() string
+	// CopyFrom overwrites the receiver's replacement state with src's,
+	// so both go on to choose the same victims. src must be the same
+	// policy type built for the same geometry; the copy allocates
+	// nothing.
+	CopyFrom(src Policy)
 }
 
 // New constructs a policy by name: "lru", "random", "bip", "dip", "nru",
@@ -95,6 +100,13 @@ func (p *LRU) Insert(set, way int) { p.Touch(set, way) }
 // Miss implements Policy.
 func (p *LRU) Miss(int) {}
 
+// CopyFrom implements Policy.
+func (p *LRU) CopyFrom(src Policy) {
+	q := src.(*LRU)
+	p.clock = q.clock
+	copy(p.stamps, q.stamps)
+}
+
 // Victim implements Policy.
 func (p *LRU) Victim(set int) int {
 	base := set * p.assoc
@@ -151,6 +163,9 @@ func (p *Random) Insert(int, int) {}
 // Miss implements Policy.
 func (p *Random) Miss(int) {}
 
+// CopyFrom implements Policy: the generator state is the whole state.
+func (p *Random) CopyFrom(src Policy) { p.state = src.(*Random).state }
+
 // Victim implements Policy.
 func (p *Random) Victim(set int) int {
 	p.state ^= p.state >> 12
@@ -195,6 +210,13 @@ func (p *BIP) Miss(int) {}
 
 // Victim implements Policy.
 func (p *BIP) Victim(set int) int { return p.lru.Victim(set) }
+
+// CopyFrom implements Policy.
+func (p *BIP) CopyFrom(src Policy) {
+	q := src.(*BIP)
+	p.lru.CopyFrom(q.lru)
+	p.counter = q.counter
+}
 
 // DIP adaptively chooses between LRU and BIP insertion using set dueling:
 // every dedicationStride-th set is dedicated to LRU, the next to BIP, and
@@ -282,6 +304,14 @@ func (p *DIP) Miss(set int) {
 // Victim implements Policy.
 func (p *DIP) Victim(set int) int { return p.lru.Victim(set) }
 
+// CopyFrom implements Policy.
+func (p *DIP) CopyFrom(src Policy) {
+	q := src.(*DIP)
+	p.lru.CopyFrom(q.lru)
+	p.bip.CopyFrom(q.bip)
+	p.psel = q.psel
+}
+
 // PSEL exposes the selector value for tests and diagnostics.
 func (p *DIP) PSEL() int32 { return p.psel }
 
@@ -310,6 +340,13 @@ func (p *NRU) Insert(set, way int) { p.ref[set*p.assoc+way] = true }
 
 // Miss implements Policy.
 func (p *NRU) Miss(int) {}
+
+// CopyFrom implements Policy.
+func (p *NRU) CopyFrom(src Policy) {
+	q := src.(*NRU)
+	copy(p.ref, q.ref)
+	copy(p.hand, q.hand)
+}
 
 // Victim implements Policy: clock sweep for a clear reference bit.
 func (p *NRU) Victim(set int) int {

@@ -468,3 +468,108 @@ func TestNewSeededRandomDecorrelates(t *testing.T) {
 		t.Fatal("seeds 7 and 8 produced identical eviction sequences")
 	}
 }
+
+// copyModel drives a policy the way cache.Cache does: lowest free way
+// first, the policy's victim once the set is full.
+type copyModel struct {
+	p     Policy
+	assoc int
+	tags  []int64 // sets*assoc, -1 = invalid
+}
+
+func newCopyModel(t *testing.T, name string, sets, assoc int, seed uint64) *copyModel {
+	t.Helper()
+	p, err := NewSeeded(name, sets, assoc, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &copyModel{p: p, assoc: assoc, tags: make([]int64, sets*assoc)}
+	for i := range m.tags {
+		m.tags[i] = -1
+	}
+	return m
+}
+
+// access returns the evicted line, or -1.
+func (m *copyModel) access(line int64) int64 {
+	set := int(line % int64(len(m.tags)/m.assoc))
+	row := m.tags[set*m.assoc : (set+1)*m.assoc]
+	for w, tag := range row {
+		if tag == line {
+			m.p.Touch(set, w)
+			return -1
+		}
+	}
+	m.p.Miss(set)
+	way, ev := -1, int64(-1)
+	for w, tag := range row {
+		if tag < 0 {
+			way = w
+			break
+		}
+	}
+	if way < 0 {
+		way = m.p.Victim(set)
+		ev = row[way]
+	}
+	row[way] = line
+	m.p.Insert(set, way)
+	return ev
+}
+
+// copyStream is a deterministic skewed line stream over a footprint
+// three times the modeled capacity.
+func copyStream(seed uint64, n, lines int) []int64 {
+	out := make([]int64, n)
+	x := seed
+	for i := range out {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		l := int64(x % uint64(3*lines))
+		if x>>60 < 10 { // most references reuse a hot third
+			l %= int64(lines)
+		}
+		out[i] = l
+	}
+	return out
+}
+
+// TestCopyFromReplaysEvictions: after q.CopyFrom(p), with the contents
+// copied alongside, q chooses exactly p's victims for the same access
+// sequence. q first runs a different stream, so a field CopyFrom leaves
+// out keeps a stale value that shows up as a diverging eviction. The two
+// streams end in miss bursts confined to set 0 for p and set 1 for q,
+// which drive DIP's selector to opposite ends.
+func TestCopyFromReplaysEvictions(t *testing.T) {
+	const sets, assoc = 37, 8
+	for _, name := range Known() {
+		p := newCopyModel(t, name, sets, assoc, 7)
+		q := newCopyModel(t, name, sets, assoc, 11)
+		for _, l := range copyStream(1, 5_000, sets*assoc) {
+			p.access(l)
+		}
+		for _, l := range copyStream(2, 3_000, sets*assoc) {
+			q.access(l)
+		}
+		for k := int64(0); k < 2_000; k++ {
+			p.access(k * sets)
+			q.access(k*sets + 1)
+		}
+		q.p.CopyFrom(p.p)
+		copy(q.tags, p.tags)
+		evictions := 0
+		for i, l := range copyStream(3, 20_000, sets*assoc) {
+			pe, qe := p.access(l), q.access(l)
+			if pe != qe {
+				t.Fatalf("%s: access %d (line %d) evicted %d from the original, %d from the copy", name, i, l, pe, qe)
+			}
+			if pe >= 0 {
+				evictions++
+			}
+		}
+		if evictions == 0 {
+			t.Fatalf("%s: the comparison stream evicted nothing", name)
+		}
+	}
+}

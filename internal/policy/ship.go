@@ -88,3 +88,13 @@ func (p *SHiP) Miss(int) {}
 
 // Victim implements Policy: SRRIP's aging scan.
 func (p *SHiP) Victim(set int) int { return p.srrip.Victim(set) }
+
+// CopyFrom implements Policy.
+func (p *SHiP) CopyFrom(src Policy) {
+	q := src.(*SHiP)
+	p.srrip.CopyFrom(q.srrip)
+	copy(p.shct, q.shct)
+	copy(p.sig, q.sig)
+	copy(p.reused, q.reused)
+	copy(p.filled, q.filled)
+}

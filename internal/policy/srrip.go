@@ -40,6 +40,9 @@ func (p *SRRIP) Insert(set, way int) { p.rrpv[set*p.assoc+way] = rrpvLong }
 // Miss implements Policy.
 func (p *SRRIP) Miss(int) {}
 
+// CopyFrom implements Policy.
+func (p *SRRIP) CopyFrom(src Policy) { copy(p.rrpv, src.(*SRRIP).rrpv) }
+
 // Victim implements Policy: evict the first distant line, aging the set
 // until one exists.
 func (p *SRRIP) Victim(set int) int {
