@@ -359,25 +359,6 @@ func (c *Cache) checkSet(set int) {
 	}
 }
 
-// Invalidate removes a line if present and returns whether it was dirty.
-func (c *Cache) Invalidate(line memaddr.Line) (present, dirty bool) {
-	set := c.SetOf(line)
-	w := c.findWay(set, line)
-	if w < 0 {
-		return false, false
-	}
-	word, off := c.at(set)
-	bit := uint64(1) << (off + uint(w))
-	dirty = c.dirty[word]&bit != 0
-	c.valid[word] &^= bit
-	c.dirty[word] &^= bit
-	c.lines[set*c.cfg.Assoc+w] = 0
-	if invariants.Enabled {
-		c.checkSet(set)
-	}
-	return true, dirty
-}
-
 // Occupancy returns the number of valid lines; useful for warmup checks.
 func (c *Cache) Occupancy() int {
 	n := 0

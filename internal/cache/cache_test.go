@@ -155,25 +155,10 @@ func TestFillIdempotent(t *testing.T) {
 	if ev.Valid {
 		t.Fatal("refill evicted")
 	}
-	_, dirty := c.Invalidate(3)
-	if !dirty {
-		t.Fatal("refill with dirty=true did not mark dirty")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := mk(t, 8, 2, "lru")
-	c.Access(7, true)
-	present, dirty := c.Invalidate(7)
-	if !present || !dirty {
-		t.Fatalf("invalidate = (%v,%v), want (true,true)", present, dirty)
-	}
-	if c.Contains(7) {
-		t.Fatal("line present after invalidate")
-	}
-	present, _ = c.Invalidate(7)
-	if present {
-		t.Fatal("double invalidate reported present")
+	// Push line 3 out of its 2-way set: the writeback shows the dirty bit.
+	c.Fill(11, false)
+	if ev := c.Fill(19, false); !ev.Valid || ev.Line != 3 || !ev.Dirty {
+		t.Fatalf("evicting the refilled line = %+v, want dirty line 3", ev)
 	}
 }
 

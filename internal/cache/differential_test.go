@@ -110,17 +110,6 @@ func (r *refCache) fillLine(line memaddr.Line, dirty bool) Eviction {
 	return r.fill(s, line, dirty)
 }
 
-func (r *refCache) invalidate(line memaddr.Line) (bool, bool) {
-	_, w := r.find(line)
-	if w < 0 {
-		return false, false
-	}
-	way := &r.set(line)[w]
-	dirty := way.dirty
-	*way = refWay{}
-	return true, dirty
-}
-
 func (r *refCache) occupancy() int {
 	n := 0
 	for _, w := range r.ways {
@@ -131,12 +120,12 @@ func (r *refCache) occupancy() int {
 	return n
 }
 
-// TestBitmapsMatchReference drives random Access/Probe/Fill/Invalidate
+// TestBitmapsMatchReference drives random Access/Probe/Fill
 // sequences through the packed-bitmap cache and the naive reference, for
 // associativities on every side of the window-width boundaries (1-way's
 // 2-bit windows, 3 ways in 4 bits, 28/29 in 32, 32 and 64 filling a
 // word) and for set counts that do and do not fill the last bitmap word.
-// Hits, evictions, writebacks, invalidations, statistics and occupancy
+// Hits, evictions, writebacks, statistics and occupancy
 // must agree after every operation.
 func TestBitmapsMatchReference(t *testing.T) {
 	for _, assoc := range []int{1, 2, 3, 16, 28, 29, 32, 64} {
@@ -170,16 +159,10 @@ func TestBitmapsMatchReference(t *testing.T) {
 							if _, want := ref.lookup(line, write); hit != want {
 								t.Fatalf("op %d Probe(%d,%v) = %v, want %v", op, line, write, hit, want)
 							}
-						case k < 9:
+						default:
 							ev, want := c.Fill(line, write), ref.fillLine(line, write)
 							if ev != want {
 								t.Fatalf("op %d Fill(%d,%v) = %+v, want %+v", op, line, write, ev, want)
-							}
-						default:
-							p, d := c.Invalidate(line)
-							wantP, wantD := ref.invalidate(line)
-							if p != wantP || d != wantD {
-								t.Fatalf("op %d Invalidate(%d) = %v %v, want %v %v", op, line, p, d, wantP, wantD)
 							}
 						}
 						if got, want := c.Occupancy(), ref.occupancy(); got != want {

@@ -28,12 +28,16 @@ func mustPanic(t *testing.T, substr string, f func()) {
 	f()
 }
 
+// Both tests corrupt set 0 and then fill line 4, which maps to set 0 and
+// takes its lowest free way (way 1), so the fill's set check runs over
+// the corrupted bits.
+
 func TestDirtyWithoutValidPanics(t *testing.T) {
-	c := MustNew(Config{Sets: 4, Assoc: 2})
+	c := MustNew(Config{Sets: 4, Assoc: 4})
 	c.Fill(memaddr.Line(0), false)
 	// A dirty bit on an invalid way is a phantom writeback in waiting.
-	c.dirty[0] |= 0b10
-	mustPanic(t, "dirty bits", func() { c.Invalidate(memaddr.Line(0)) })
+	c.dirty[0] |= 0b100
+	mustPanic(t, "dirty bits", func() { c.Fill(memaddr.Line(4), false) })
 }
 
 func TestValidMaskOverflowPanics(t *testing.T) {
@@ -41,7 +45,7 @@ func TestValidMaskOverflowPanics(t *testing.T) {
 	c.Fill(memaddr.Line(0), false)
 	// Way 2 of a 2-way set: the mask claims a line beyond the geometry.
 	c.valid[0] |= 0b100
-	mustPanic(t, "exceeds 2 ways", func() { c.Invalidate(memaddr.Line(0)) })
+	mustPanic(t, "exceeds 2 ways", func() { c.Fill(memaddr.Line(4), false) })
 }
 
 // rogueVictim is a replacement policy that returns an out-of-range way, the

@@ -106,8 +106,8 @@ type Config struct {
 	// L3Latency is the L3 access latency in cycles (24).
 	L3Latency sim.Cycle
 	// L3Policy names the L3 replacement policy; empty selects the paper's
-	// LRU-based DIP. Any policy.New name is accepted ("lru", "random",
-	// "bip", "dip", "nru", "srrip").
+	// LRU-based DIP. Any policy.Known() name is accepted ("lru", "random",
+	// "bip", "dip", "nru", "srrip", "brrip", "ship").
 	L3Policy string
 
 	// L2Bytes, when non-zero, inserts a private per-core L2 of that

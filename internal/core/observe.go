@@ -92,17 +92,6 @@ func (s *System) registerColumns(sink obs.ColumnSink) {
 	sink.AddColumn("wasted_mem_reads_total", func() uint64 { return s.wastedMemReads.Value() })
 }
 
-// TimeSeries returns the attached sampler (nil when disabled); the CLIs
-// use it to export the series after the run.
-func (s *System) TimeSeries() *obs.TimeSeries { return s.ts }
-
-// FlightRecorder returns the attached recorder (nil when disabled).
-func (s *System) FlightRecorder() *obs.FlightRecorder { return s.fr }
-
-// Tracer returns the attached tracer (nil when tracing is off); the CLIs
-// use it to export the trace files after the run.
-func (s *System) Tracer() *obs.Tracer { return s.trc }
-
 // cyclesBetween returns b-a in raw cycles, saturating at zero. The trace
 // decomposition subtracts timestamps that are ordered on the critical
 // path by construction; saturation keeps a future model change from

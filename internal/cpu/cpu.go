@@ -91,9 +91,6 @@ type Core struct {
 	finished    bool
 	finishAt    sim.Cycle
 
-	reads, writes uint64
-	onFinish      func(*Core)
-
 	// Pre-bound engine handlers: scheduling these allocates nothing
 	// (see sim.Handler). One issue event is pending at a time; complete
 	// events may overlap up to MLP deep, but carry no per-event state.
@@ -126,32 +123,17 @@ func New(id int, cfg Config, src RefSource, eng *sim.Engine, port MemPort, instr
 	return c, nil
 }
 
-// OnFinish registers a callback invoked when the core retires its budget
-// and drains all outstanding reads.
-func (c *Core) OnFinish(f func(*Core)) { c.onFinish = f }
-
 // Start schedules the core's first issue event.
 func (c *Core) Start() {
 	c.eng.ScheduleHandler(c.eng.Now(), &c.issueEv)
 }
 
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
-// Finished reports whether the core has retired its budget and drained.
-func (c *Core) Finished() bool { return c.finished }
-
-// FinishTime returns the cycle the core finished (valid once Finished).
+// FinishTime returns the cycle the core retired its budget and drained
+// all outstanding reads (zero until then).
 func (c *Core) FinishTime() sim.Cycle { return c.finishAt }
 
 // Retired returns instructions retired so far.
 func (c *Core) Retired() uint64 { return c.retired }
-
-// Reads returns demand loads issued.
-func (c *Core) Reads() uint64 { return c.reads }
-
-// Writes returns stores issued.
-func (c *Core) Writes() uint64 { return c.writes }
 
 // issue processes one trace reference; it runs as an engine event.
 //
@@ -168,10 +150,8 @@ func (c *Core) issue(now sim.Cycle) {
 
 	var writeStall sim.Cycle
 	if ref.Write {
-		c.writes++
 		writeStall = c.port.Write(now, c.id, ref)
 	} else {
-		c.reads++
 		c.outstanding++
 		done := c.port.Read(now, c.id, ref)
 		c.eng.ScheduleHandler(done, &c.completeEv)
@@ -217,7 +197,4 @@ func (c *Core) maybeFinish(now sim.Cycle) {
 	}
 	c.finished = true
 	c.finishAt = now
-	if c.onFinish != nil {
-		c.onFinish(c)
-	}
 }

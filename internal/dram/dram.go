@@ -168,7 +168,6 @@ func (b *bank) precharge(at, tRAS Cycle) {
 
 type channel struct {
 	busReady   Cycle
-	busBusy    Cycle // cumulative data-bus busy cycles
 	writeReady Cycle // low-priority write-drain rail
 }
 
@@ -343,7 +342,6 @@ func (d *DRAM) AccessRowInto(now Cycle, row uint64, burst Cycle, write bool, out
 		casDone := start + (d.cfg.TACT+d.cfg.TCAS)/8
 		done := casDone + burst
 		c.writeReady = done
-		c.busBusy += burst
 		d.stats.BusBusy += burst
 		*out = Result{Done: done, Start: start, CASDone: casDone, BusStart: casDone, Latency: done - now}
 		return
@@ -410,7 +408,6 @@ func (d *DRAM) AccessRowInto(now Cycle, row uint64, burst Cycle, write bool, out
 	}
 	done := busStart + burst
 	c.busReady = done
-	c.busBusy += burst
 	d.stats.BusBusy += burst
 	b.ready = bankNext
 	b.lastUse = casDone
@@ -445,15 +442,6 @@ func (d *DRAM) refreshAdjust(start Cycle, ch, bk int) Cycle {
 func (d *DRAM) PeekRowOpen(row uint64) bool {
 	_, _, idx := d.bankOf(row)
 	return d.banks[idx].openRow == row
-}
-
-// BusUtilization returns the mean fraction of elapsed cycles the data buses
-// were busy, given the total simulated span.
-func (d *DRAM) BusUtilization(elapsed Cycle) float64 {
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(d.stats.BusBusy) / (float64(elapsed) * float64(d.cfg.Channels))
 }
 
 // Reset clears bank state and statistics; used between warmup and

@@ -189,15 +189,13 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestBusUtilization: one read keeps the data bus busy for exactly its
+// burst, the count behind the bus_busy_cycles_total metric.
 func TestBusUtilization(t *testing.T) {
 	d := MustNew(StackedConfig())
 	r := d.AccessLine(0, 0, false)
-	u := d.BusUtilization(r.Done)
-	if u <= 0 || u > 1 {
-		t.Fatalf("utilization %v out of (0,1]", u)
-	}
-	if d.BusUtilization(0) != 0 {
-		t.Fatal("utilization with zero elapsed should be 0")
+	if got, want := d.Stats().BusBusy, r.Done-r.BusStart; got == 0 || got != want {
+		t.Fatalf("bus busy %d cycles after one read, want its burst %d", got, want)
 	}
 }
 

@@ -46,10 +46,3 @@ func (d *DRAM) RegisterBankTimeSeries(sink obs.ColumnSink, prefix string) {
 		sink.AddColumn(fmt.Sprintf("%s_bank%02d_accesses_total", prefix, i), func() uint64 { return b.accesses })
 	}
 }
-
-// BankAccesses returns the read-access count of flat bank index i; test
-// and phase-figure accessor.
-func (d *DRAM) BankAccesses(i int) uint64 { return d.banks[i].accesses }
-
-// NumBanks returns the total flat bank count (channels x banks/channel).
-func (d *DRAM) NumBanks() int { return len(d.banks) }

@@ -136,14 +136,6 @@ func (b *Banshee) Fill(now Cycle, line memaddr.Line) FillResult {
 	return FillResult{Done: res.Done}
 }
 
-// BypassedFills returns the number of read misses the fill filter kept out
-// of the cache.
-func (b *Banshee) BypassedFills() uint64 { return b.bypassed.Value() }
-
-// AdmittedFills returns the number of read misses that crossed the
-// admission threshold and allocated a frame.
-func (b *Banshee) AdmittedFills() uint64 { return b.admitted.Value() }
-
 // ResetStats implements Organization; the fill-filter counters are state,
 // not statistics, and survive the reset like cache contents do.
 func (b *Banshee) ResetStats() {

@@ -83,8 +83,8 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 	if st.Stats() != before {
 		t.Fatal("bypassed miss consumed stacked bandwidth")
 	}
-	if o.BypassedFills() != 1 || o.AdmittedFills() != 0 {
-		t.Fatalf("filter counters: bypassed=%d admitted=%d, want 1/0", o.BypassedFills(), o.AdmittedFills())
+	if o.bypassed.Value() != 1 || o.admitted.Value() != 0 {
+		t.Fatalf("filter counters: bypassed=%d admitted=%d, want 1/0", o.bypassed.Value(), o.admitted.Value())
 	}
 	r = access(o, 100, 42, false)
 	if r.Hit || !r.Allocated {
@@ -93,8 +93,8 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 	if !o.Contains(42) {
 		t.Fatal("admitted line not resident")
 	}
-	if o.AdmittedFills() != 1 {
-		t.Fatalf("admitted = %d, want 1", o.AdmittedFills())
+	if o.admitted.Value() != 1 {
+		t.Fatalf("admitted = %d, want 1", o.admitted.Value())
 	}
 	// Hit reads exactly one line; tags are on-chip.
 	before = st.Stats()

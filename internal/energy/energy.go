@@ -92,13 +92,3 @@ func ChargeSystem(offChip, stacked dram.Stats) System {
 
 // TotalNJ is the whole memory system's energy in nanojoules.
 func (s System) TotalNJ() float64 { return s.OffChip.TotalNJ() + s.Stacked.TotalNJ() }
-
-// OffChipShare is the fraction of energy spent off-chip — the component
-// the paper's §5.6 warns PAM inflates.
-func (s System) OffChipShare() float64 {
-	t := s.TotalNJ()
-	if t == 0 {
-		return 0
-	}
-	return s.OffChip.TotalNJ() / t
-}

@@ -51,13 +51,13 @@ func TestChargeSystemShares(t *testing.T) {
 	if sys.TotalNJ() <= 0 {
 		t.Fatal("no energy charged")
 	}
-	share := sys.OffChipShare()
+	share := sys.OffChip.TotalNJ() / sys.TotalNJ()
 	if share <= 0.5 || share >= 1 {
 		t.Fatalf("off-chip share %v, want in (0.5, 1) for equal access counts", share)
 	}
 	var zero System
-	if zero.OffChipShare() != 0 {
-		t.Fatal("zero system should report 0 share")
+	if zero.TotalNJ() != 0 {
+		t.Fatal("zero system should report no energy")
 	}
 }
 

@@ -17,8 +17,8 @@ func TestLineSetBasics(t *testing.T) {
 	if s.Count() != 3 {
 		t.Fatalf("Count = %d, want 3", s.Count())
 	}
-	if s.Pages() != 2 {
-		t.Fatalf("Pages = %d, want 2", s.Pages())
+	if s.used != 2 {
+		t.Fatalf("pages used = %d, want 2", s.used)
 	}
 	for _, l := range []Line{5, 6, 64} {
 		if !s.Contains(l) {
@@ -65,8 +65,8 @@ func TestLineSetGrowth(t *testing.T) {
 	if s.Count() != pages {
 		t.Fatalf("Count = %d, want %d", s.Count(), pages)
 	}
-	if s.Pages() != pages {
-		t.Fatalf("Pages = %d, want %d", s.Pages(), pages)
+	if s.used != pages {
+		t.Fatalf("pages used = %d, want %d", s.used, pages)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package memaddr provides the address arithmetic shared by the cache and
-// DRAM models: line/byte conversions, set indexing (including the Alloy
+// DRAM models: line addresses, set indexing (including the Alloy
 // Cache's non-power-of-two residue indexing from §4.1 of the paper), and the
 // folded-XOR hash used by the MAP-I predictor.
 package memaddr
@@ -7,20 +7,8 @@ package memaddr
 // LineSizeBytes is the cache line size used throughout the paper (64 B).
 const LineSizeBytes = 64
 
-// LineShift is log2(LineSizeBytes).
-const LineShift = 6
-
-// Addr is a physical byte address.
-type Addr uint64
-
-// Line is a physical line address (byte address >> LineShift).
+// Line is a physical line address (byte address / LineSizeBytes).
 type Line uint64
-
-// LineOf returns the line containing the byte address.
-func LineOf(a Addr) Line { return Line(a >> LineShift) }
-
-// ByteAddr returns the first byte address of the line.
-func (l Line) ByteAddr() Addr { return Addr(l) << LineShift }
 
 // Mod computes l mod n for a non-power-of-two divisor. The hardware
 // implementation the paper sketches (residue arithmetic, 28 = 32-4) is
@@ -61,17 +49,4 @@ func PageScatter(l Line) Line {
 	vpage := uint64(l) >> PageShift
 	ppage := (vpage * mult) & (1<<57 - 1)
 	return Line(ppage<<PageShift | uint64(l)&(1<<PageShift-1))
-}
-
-// IsPow2 reports whether v is a positive power of two.
-func IsPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
-
-// Log2 returns floor(log2(v)); Log2(0) is 0.
-func Log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }

@@ -5,12 +5,9 @@ import (
 )
 
 // TestHotPathZeroAllocs pins the zero-allocation contract of every
-// method the simulator calls per event: counter/gauge updates, tracer
-// sampling, span recording, and breakdown recording — including through
-// a nil (disabled) tracer.
+// method the simulator calls per event: tracer sampling, span recording,
+// and breakdown recording — including through a nil (disabled) tracer.
 func TestHotPathZeroAllocs(t *testing.T) {
-	c := &Counter{}
-	g := &Gauge{}
 	tr := NewTracer(2, 64)
 	var off *Tracer
 
@@ -18,9 +15,6 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Counter.Inc", func() { c.Inc() }},
-		{"Counter.Add", func() { c.Add(3) }},
-		{"Gauge.Set", func() { g.Set(1) }},
 		{"Tracer.Sample", func() { tr.Sample() }},
 		{"Tracer.Span", func() { tr.Span(1, SpanDCBank, 0, 7, 100, 10, true) }},
 		{"Tracer.Record", func() { tr.Record(Breakdown{ReqID: 1, Total: 5, Other: 5}) }},
@@ -32,17 +26,6 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
 		}
-	}
-}
-
-func BenchmarkCounterInc(b *testing.B) {
-	b.ReportAllocs()
-	var c Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-	if c.Value() == 0 {
-		b.Fatal("counter not incremented")
 	}
 }
 

@@ -88,27 +88,6 @@ func BuildInfoHandler(w http.ResponseWriter, _ *http.Request) {
 		rev, dirty, runtime.Version(), invariants.Enabled)
 }
 
-// FlightRecorderHandler serves the recorder's most recent published
-// snapshot as /debug/flightrecorder JSON, falling back to a live dump
-// when nothing has been published yet (correct only when no simulation
-// is mid-flight — same contract as the /metrics fallback above). Mount
-// it with AttachFlightRecorder.
-func FlightRecorderHandler(fr *FlightRecorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if b, ok := fr.Snapshot(); ok {
-			w.Write(b) //nolint:errcheck // client gone; nothing to do
-			return
-		}
-		fr.WriteJSON(w) //nolint:errcheck // client gone; nothing to do
-	}
-}
-
-// AttachFlightRecorder mounts /debug/flightrecorder on a DebugMux.
-func AttachFlightRecorder(mux *http.ServeMux, fr *FlightRecorder) {
-	mux.Handle("/debug/flightrecorder", FlightRecorderHandler(fr))
-}
-
 // DebugServer is a running debug HTTP endpoint with a shutdown path. The
 // old StartDebugServer leaked its serve goroutine until process exit;
 // callers now own the lifecycle and Close it when the run ends.
@@ -131,13 +110,6 @@ type DebugServer struct {
 // captures legitimately stream for ?seconds=N, so writes are bounded by
 // the generous writeTimeout below rather than a scrape-sized one.
 func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
-	return StartDebugServerHandler(addr, DebugMux(reg))
-}
-
-// StartDebugServerHandler is StartDebugServer for callers that build
-// their own handler — typically a DebugMux with extra routes attached
-// (AttachFlightRecorder).
-func StartDebugServerHandler(addr string, h http.Handler) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -150,7 +122,7 @@ func StartDebugServerHandler(addr string, h http.Handler) (*DebugServer, error) 
 	)
 	ds := &DebugServer{
 		srv: &http.Server{
-			Handler:           h,
+			Handler:           DebugMux(reg),
 			ReadHeaderTimeout: readHeaderTimeout,
 			ReadTimeout:       readTimeout,
 			WriteTimeout:      writeTimeout,

@@ -10,27 +10,38 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"alloysim/internal/stats"
 )
 
 // TestDebugServerScrapeDuringWrites hammers /metrics and /metrics.json
 // from many clients while the metrics-owning goroutine keeps
-// incrementing counters, moving gauges, and publishing snapshots, and a
-// late registration lands mid-scrape. Run under -race this is the proof
+// incrementing a counter, moving a gauge, and publishing snapshots, and
+// late registrations land mid-scrape. Run under -race this is the proof
 // obligation for the daemon contract: scrapes serve published snapshots
 // and the registry index is locked, so concurrent clients are race-free
 // against a live writer (the old single-CLI "torn reads are harmless"
 // escape hatch is gone).
 func TestDebugServerScrapeDuringWrites(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("scrape_test_events_total", "events")
-	g := reg.Gauge("scrape_test_level", "level")
+	var c stats.Counter
+	level := 0.0 // read only by the writer goroutine's PublishSnapshot
+	reg.RegisterCounterFunc("scrape_test_events_total", "events", c.Value)
+	reg.RegisterGaugeFunc("scrape_test_level", "level", func() float64 { return level })
 	reg.PublishSnapshot()
 
 	ds, err := StartDebugServer("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A test-owned transport: with 8 concurrent scrapers it can dial a
+	// connection that no request ever uses. Shutdown treats such a
+	// never-used connection as active for 5 s — the whole Close deadline
+	// below — so the idle pool is closed before the server is.
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
 	defer func() {
+		tr.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := ds.Close(ctx); err != nil {
@@ -46,7 +57,6 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		v := 0.0
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -54,10 +64,9 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 			default:
 			}
 			c.Inc()
-			v++
-			g.Set(v)
+			level++
 			if i < 20 {
-				reg.Counter(fmt.Sprintf("scrape_test_late_%d_total", i), "late registration")
+				reg.RegisterCounterFunc(fmt.Sprintf("scrape_test_late_%d_total", i), "late registration", c.Value)
 			}
 			reg.PublishSnapshot()
 		}
@@ -74,7 +83,7 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 				path = "/metrics.json"
 			}
 			for j := 0; j < 25; j++ {
-				resp, err := http.Get(base + path)
+				resp, err := client.Get(base + path)
 				if err != nil {
 					t.Errorf("scrape %d: %v", i, err)
 					return
@@ -111,7 +120,8 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 // after the next PublishSnapshot.
 func TestSnapshotServesPublishedValues(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("snap_events_total", "events")
+	var c stats.Counter
+	reg.RegisterCounterFunc("snap_events_total", "events", c.Value)
 	c.Add(7)
 	reg.PublishSnapshot()
 	c.Add(100) // not yet published
@@ -172,7 +182,8 @@ func TestDebugServerCloseStopsServing(t *testing.T) {
 // proves every Close observer gets the same verdict.
 func TestDebugServerConcurrentCloseAndScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("close_race_events_total", "events")
+	var c stats.Counter
+	reg.RegisterCounterFunc("close_race_events_total", "events", c.Value)
 	reg.PublishSnapshot()
 
 	ds, err := StartDebugServer("127.0.0.1:0", reg)
@@ -182,7 +193,7 @@ func TestDebugServerConcurrentCloseAndScrape(t *testing.T) {
 	base := "http://" + ds.Addr().String()
 
 	var wg sync.WaitGroup
-	// One writer owns the counter (obs.Counter is single-writer by
+	// One writer owns the counter (stats.Counter is single-writer by
 	// contract) and keeps publishing snapshots throughout the shutdown.
 	writerStop := make(chan struct{})
 	var writer sync.WaitGroup

@@ -6,12 +6,13 @@
 // The design splits responsibilities so no hot path ever touches a map or
 // an interface:
 //
-//   - Hot paths increment plain struct fields (Counter, Gauge, the
-//     existing stats counters) they own directly. The //alloyvet:hotpath
-//     analyzer verifies the increment methods allocate nothing.
-//   - The Registry only remembers *where* those fields live. Components
-//     register a counter pointer or a read-back closure once at setup;
-//     lookups, sorting, and formatting happen exclusively at dump time.
+//   - Hot paths increment plain stats.Counter fields they own directly.
+//     The //alloyvet:hotpath analyzer verifies those paths allocate
+//     nothing.
+//   - The Registry only remembers how to read those fields. Components
+//     register a read-back closure (RegisterCounterFunc/RegisterGaugeFunc)
+//     or a histogram once at setup; lookups, sorting, and formatting
+//     happen exclusively at dump time.
 //   - The Tracer records fixed-size span records into a preallocated ring
 //     buffer; sampling is a deterministic 1-in-N counter, never a clock
 //     or RNG, so traced runs remain byte-reproducible.
@@ -44,52 +45,11 @@ import (
 	"alloysim/internal/stats"
 )
 
-// Counter is a monotonically increasing event count incremented on hot
-// paths. It is deliberately not atomic: the simulator is single-threaded,
-// and an uncontended add is the whole point of the idiom (an atomic RMW
-// costs several ns per event — measured >20% on the engine mixed bench).
-// Hold the counter as a struct field and increment it directly; never
-// look it up through the Registry per event. Concurrent scrapes must go
-// through Registry.PublishSnapshot, published by the writer.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-//
-//alloyvet:hotpath
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds d.
-//
-//alloyvet:hotpath
-func (c *Counter) Add(d uint64) { c.v += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous level (queue depth, occupancy). Like Counter
-// it is a plain field for single-threaded hot-path updates.
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-//
-//alloyvet:hotpath
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the gauge by d (use a negative d to decrease).
-//
-//alloyvet:hotpath
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return g.v }
-
 // metricKind discriminates registry entries.
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindCounterFunc
-	kindGauge
+	kindCounterFunc metricKind = iota
 	kindGaugeFunc
 	kindHistogram
 )
@@ -101,9 +61,7 @@ type metric struct {
 	help string
 	kind metricKind
 
-	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *stats.Histogram
 }
@@ -112,12 +70,8 @@ type metric struct {
 // their sample count).
 func (m *metric) value() float64 {
 	switch m.kind {
-	case kindCounter:
-		return float64(m.counter.Value())
 	case kindCounterFunc:
 		return float64(m.counterFn())
-	case kindGauge:
-		return m.gauge.Value()
 	case kindGaugeFunc:
 		return m.gaugeFn()
 	case kindHistogram:
@@ -131,7 +85,7 @@ func (m *metric) value() float64 {
 // deterministic. The index itself is guarded by a mutex so late
 // registration (a daemon wiring a new component) cannot race a
 // concurrent scrape; the lock is never touched on metric hot paths,
-// which increment their own Counter/Gauge fields directly. The zero
+// which increment their own stats.Counter fields directly. The zero
 // Registry is not usable — call NewRegistry.
 type Registry struct {
 	mu      sync.RWMutex
@@ -162,11 +116,6 @@ func (r *Registry) register(m metric) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.registerLocked(m)
-}
-
-// registerLocked is register with r.mu already held.
-func (r *Registry) registerLocked(m metric) {
 	if _, dup := r.byName[m.name]; dup {
 		panic(fmt.Sprintf("obs: metric %q registered twice", m.name))
 	}
@@ -193,21 +142,11 @@ func validName(s string) bool {
 	return true
 }
 
-// RegisterCounter exposes an existing hot-path counter field under name.
-func (r *Registry) RegisterCounter(name, help string, c *Counter) {
-	r.register(metric{name: name, help: help, kind: kindCounter, counter: c})
-}
-
 // RegisterCounterFunc exposes a counter read through fn at dump time.
 // This is how components with pre-existing plain stat fields (cache
 // hits, DRAM reads) join the registry without changing their hot paths.
 func (r *Registry) RegisterCounterFunc(name, help string, fn func() uint64) {
 	r.register(metric{name: name, help: help, kind: kindCounterFunc, counterFn: fn})
-}
-
-// RegisterGauge exposes an existing gauge field under name.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	r.register(metric{name: name, help: help, kind: kindGauge, gauge: g})
 }
 
 // RegisterGaugeFunc exposes a level read through fn at dump time.
@@ -220,47 +159,6 @@ func (r *Registry) RegisterGaugeFunc(name, help string, fn func() float64) {
 // Observe on the hot path.
 func (r *Registry) RegisterHistogram(name, help string, h *stats.Histogram) {
 	r.register(metric{name: name, help: help, kind: kindHistogram, hist: h})
-}
-
-// Counter returns the counter registered under name, creating and
-// registering a fresh one if absent. This is a setup-time convenience:
-// call it once, keep the returned pointer, and increment that on the hot
-// path. The hotpath analyzer flags Registry method calls inside
-// //alloyvet:hotpath functions precisely to keep this lookup cold.
-func (r *Registry) Counter(name, help string) *Counter {
-	if !validName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.byName[name]; ok {
-		if r.metrics[i].kind != kindCounter {
-			panic(fmt.Sprintf("obs: metric %q is not a counter", name))
-		}
-		return r.metrics[i].counter
-	}
-	c := &Counter{}
-	r.registerLocked(metric{name: name, help: help, kind: kindCounter, counter: c})
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating one if absent.
-// Setup-time only, like Counter.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if !validName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.byName[name]; ok {
-		if r.metrics[i].kind != kindGauge {
-			panic(fmt.Sprintf("obs: metric %q is not a gauge", name))
-		}
-		return r.metrics[i].gauge
-	}
-	g := &Gauge{}
-	r.registerLocked(metric{name: name, help: help, kind: kindGauge, gauge: g})
-	return g
 }
 
 // Value reads the current value of the named metric (histograms report
@@ -280,18 +178,6 @@ func (r *Registry) Value(name string) (float64, bool) {
 	// take their owner's lock (the runner's), and holding r.mu across a
 	// foreign lock invites ordering deadlocks.
 	return m.value(), true
-}
-
-// Names returns all registered metric names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		names = append(names, m.name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }
 
 // sorted returns the metrics ordered by name; dump output must not
@@ -318,17 +204,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 		switch m.kind {
-		case kindCounter, kindCounterFunc:
-			var v uint64
-			if m.kind == kindCounter {
-				v = m.counter.Value()
-			} else {
-				v = m.counterFn()
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, v); err != nil {
+		case kindCounterFunc:
+			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, m.counterFn()); err != nil {
 				return err
 			}
-		case kindGauge, kindGaugeFunc:
+		case kindGaugeFunc:
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, m.name, formatFloat(m.value())); err != nil {
 				return err
 			}
@@ -357,9 +237,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	for _, m := range r.sorted() {
 		switch m.kind {
-		case kindCounter, kindCounterFunc:
-			field(m.name, fmt.Sprintf("%d", uint64(m.value())))
-		case kindGauge, kindGaugeFunc:
+		case kindCounterFunc:
+			field(m.name, fmt.Sprintf("%d", m.counterFn()))
+		case kindGaugeFunc:
 			field(m.name, formatFloat(m.value()))
 		case kindHistogram:
 			h := m.hist

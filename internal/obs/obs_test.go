@@ -14,22 +14,23 @@ import (
 
 func TestRegistryValues(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reads_total", "reads")
-	c.Add(3)
-	c.Inc()
-	if got := c.Value(); got != 4 {
-		t.Fatalf("counter = %d, want 4", got)
-	}
-	if same := r.Counter("reads_total", "reads"); same != c {
-		t.Fatalf("Counter lookup returned a different pointer")
-	}
+	// The production shape: a component's own stats.Counter field, read
+	// back at dump time. Increments after registration must show.
+	var reads stats.Counter
+	r.RegisterCounterFunc("reads_total", "reads", reads.Value)
+	reads.Add(3)
+	reads.Inc()
 
-	g := r.Gauge("depth", "queue depth")
-	g.Set(2.5)
-	g.Add(-0.5)
+	depth := 2.5
+	r.RegisterGaugeFunc("depth", "queue depth", func() float64 { return depth })
+	depth -= 0.5
 	var hits uint64 = 7
 	r.RegisterCounterFunc("hits_total", "hits", func() uint64 { return hits })
 	r.RegisterGaugeFunc("rate", "hit rate", func() float64 { return 0.25 })
+	h := stats.NewHistogram(10, 4)
+	h.Observe(3)
+	h.Observe(30)
+	r.RegisterHistogram("lat", "latency", h)
 
 	for _, tc := range []struct {
 		name string
@@ -39,6 +40,7 @@ func TestRegistryValues(t *testing.T) {
 		{"depth", 2},
 		{"hits_total", 7},
 		{"rate", 0.25},
+		{"lat", 2}, // histograms report their sample count
 	} {
 		got, ok := r.Value(tc.name)
 		if !ok || got != tc.want {
@@ -61,24 +63,25 @@ func TestRegistryPanics(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.Counter("a_total", "")
-	expectPanic("duplicate", func() { r.RegisterCounter("a_total", "", &Counter{}) })
-	expectPanic("invalid char", func() { r.Counter("a-b", "") })
-	expectPanic("leading digit", func() { r.Counter("9lives", "") })
-	expectPanic("empty", func() { r.Counter("", "") })
-	expectPanic("kind mismatch", func() { r.Gauge("a_total", "") })
+	zero := func() uint64 { return 0 }
+	r.RegisterCounterFunc("a_total", "", zero)
+	expectPanic("duplicate", func() { r.RegisterCounterFunc("a_total", "", zero) })
+	expectPanic("duplicate across kinds", func() { r.RegisterGaugeFunc("a_total", "", func() float64 { return 0 }) })
+	expectPanic("invalid char", func() { r.RegisterCounterFunc("a-b", "", zero) })
+	expectPanic("leading digit", func() { r.RegisterCounterFunc("9lives", "", zero) })
+	expectPanic("empty", func() { r.RegisterCounterFunc("", "", zero) })
 }
 
 func TestWritePrometheusSortedAndParsable(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_total", "last").Add(2)
-	r.Counter("aa_total", "first").Add(1)
+	r.RegisterCounterFunc("zz_total", "last", func() uint64 { return 2 })
+	r.RegisterCounterFunc("aa_total", "first", func() uint64 { return 1 })
 	h := stats.NewHistogram(10, 8)
 	h.Observe(5)
 	h.Observe(15)
 	h.Observe(999) // overflow bucket
 	r.RegisterHistogram("lat", "latency", h)
-	r.Gauge("mid", "a gauge").Set(1.5)
+	r.RegisterGaugeFunc("mid", "a gauge", func() float64 { return 1.5 })
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
@@ -107,8 +110,8 @@ func TestWritePrometheusSortedAndParsable(t *testing.T) {
 
 func TestWriteJSONValid(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "").Add(9)
-	r.Gauge("g", "").Set(0.5)
+	r.RegisterCounterFunc("c_total", "", func() uint64 { return 9 })
+	r.RegisterGaugeFunc("g", "", func() float64 { return 0.5 })
 	h := stats.NewHistogram(4, 16)
 	for i := uint64(1); i <= 10; i++ {
 		h.Observe(i)

@@ -30,19 +30,12 @@ type Policy interface {
 	CopyFrom(src Policy)
 }
 
-// New constructs a policy by name: "lru", "random", "bip", "dip", "nru",
-// "srrip", "brrip", or "ship". Stochastic policies get the legacy fixed
-// seed; use NewSeeded when distinct configurations must not share one
-// eviction sequence.
-func New(name string, sets, assoc int) (Policy, error) {
-	return NewSeeded(name, sets, assoc, 0)
-}
-
-// NewSeeded is New with an explicit seed for stochastic policies
-// ("random"; the deterministic policies ignore it). Seed 0 selects the
-// legacy fixed seed New has always used, so existing configurations keep
-// their eviction sequences; callers cross-producting designs and policies
-// pass a per-(design, policy) seed to decorrelate runs.
+// NewSeeded constructs a policy by name: "lru", "random", "bip", "dip",
+// "nru", "srrip", "brrip", or "ship". The seed drives the stochastic
+// policies ("random"; the deterministic policies ignore it). Seed 0
+// selects the legacy fixed seed, so existing configurations keep their
+// eviction sequences; callers cross-producting designs and policies pass
+// a per-(design, policy) seed to decorrelate runs.
 func NewSeeded(name string, sets, assoc int, seed uint64) (Policy, error) {
 	switch name {
 	case "lru":
@@ -311,9 +304,6 @@ func (p *DIP) CopyFrom(src Policy) {
 	p.bip.CopyFrom(q.bip)
 	p.psel = q.psel
 }
-
-// PSEL exposes the selector value for tests and diagnostics.
-func (p *DIP) PSEL() int32 { return p.psel }
 
 // NRU is not-recently-used replacement with one reference bit per line.
 // It is not used by any paper configuration but serves as a cheap

@@ -7,16 +7,16 @@ import (
 
 func TestNewByName(t *testing.T) {
 	for _, name := range Known() {
-		p, err := New(name, 4, 4)
+		p, err := NewSeeded(name, 4, 4, 0)
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("NewSeeded(%q): %v", name, err)
 		}
 		if p.Name() != name {
 			t.Fatalf("Name() = %q, want %q", p.Name(), name)
 		}
 	}
-	if _, err := New("bogus", 4, 4); err == nil {
-		t.Fatal("New(bogus) should fail")
+	if _, err := NewSeeded("bogus", 4, 4, 0); err == nil {
+		t.Fatal("NewSeeded(bogus) should fail")
 	}
 }
 
@@ -128,12 +128,12 @@ func TestDIPDuelingConvergesToLRU(t *testing.T) {
 	// same small working set. LRU-dedicated sets stop missing; BIP sets
 	// keep missing; PSEL should fall toward LRU.
 	p := NewDIP(64, 4)
-	start := p.PSEL()
+	start := p.psel
 	for i := 0; i < 500; i++ {
 		p.Miss(1) // set 1 is BIP-dedicated: vote LRU
 	}
-	if p.PSEL() >= start {
-		t.Fatalf("PSEL did not move toward LRU: %d -> %d", start, p.PSEL())
+	if p.psel >= start {
+		t.Fatalf("PSEL did not move toward LRU: %d -> %d", start, p.psel)
 	}
 	if p.usesBIP(5) {
 		t.Fatal("follower set should use LRU after BIP-dedicated misses")
@@ -155,14 +155,14 @@ func TestDIPPSELSaturates(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		p.Miss(0)
 	}
-	if p.PSEL() != 1023 {
-		t.Fatalf("PSEL = %d, want saturation at 1023", p.PSEL())
+	if p.psel != 1023 {
+		t.Fatalf("PSEL = %d, want saturation at 1023", p.psel)
 	}
 	for i := 0; i < 5000; i++ {
 		p.Miss(1)
 	}
-	if p.PSEL() != 0 {
-		t.Fatalf("PSEL = %d, want saturation at 0", p.PSEL())
+	if p.psel != 0 {
+		t.Fatalf("PSEL = %d, want saturation at 0", p.psel)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestNRUVictimHasClearBit(t *testing.T) {
 func TestVictimAlwaysInRange(t *testing.T) {
 	f := func(ops []uint16, which uint8) bool {
 		names := Known()
-		p, err := New(names[int(which)%len(names)], 8, 4)
+		p, err := NewSeeded(names[int(which)%len(names)], 8, 4, 0)
 		if err != nil {
 			return false
 		}
@@ -264,7 +264,7 @@ func TestSRRIPAgingTerminates(t *testing.T) {
 }
 
 func TestSRRIPViaRegistry(t *testing.T) {
-	p, err := New("srrip", 4, 4)
+	p, err := NewSeeded("srrip", 4, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSHiPLearnsDeadSignatures(t *testing.T) {
 }
 
 // TestNewSeededRandomDecorrelates: distinct seeds must produce distinct
-// eviction sequences, while seed 0 preserves the legacy New behavior.
+// eviction sequences, while seed 0 keeps the legacy fixed seed (1).
 func TestNewSeededRandomDecorrelates(t *testing.T) {
 	mk := func(seed uint64) Policy {
 		p, err := NewSeeded("random", 4, 16, seed)
@@ -451,17 +451,14 @@ func TestNewSeededRandomDecorrelates(t *testing.T) {
 		return p
 	}
 	a, b, legacy := mk(7), mk(8), mk(0)
-	old, err := New("random", 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := NewRandom(4, 16, 1)
 	diverged := false
 	for i := 0; i < 64; i++ {
 		if a.Victim(0) != b.Victim(0) {
 			diverged = true
 		}
 		if legacy.Victim(0) != old.Victim(0) {
-			t.Fatal("NewSeeded(seed=0) diverged from legacy New")
+			t.Fatal("NewSeeded(seed=0) diverged from the legacy fixed seed")
 		}
 	}
 	if !diverged {

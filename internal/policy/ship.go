@@ -1,19 +1,19 @@
 package policy
 
 // SHiP is Signature-based Hit Prediction (Wu et al., MICRO 2011) layered on
-// RRIP. Each line remembers the signature that filled it and whether it was
-// ever re-referenced; a table of saturating counters (the SHCT) learns, per
+// RRIP. Each line remembers whether its fill was ever re-referenced; a table of saturating counters (the SHCT) learns, per
 // signature, whether fills tend to be reused. Fills whose signature has a
 // zero counter insert at distant (RRPV 3) and age out quickly; everything
 // else inserts at long (RRPV 2) as in SRRIP. Without a PC stream the
 // simulator signs fills by a hash of the set index, which distinguishes
-// streaming regions from reused ones at page-ish granularity.
+// streaming regions from reused ones at page-ish granularity. A line's
+// fill signature is therefore its own set's, recomputed rather than
+// stored.
 type SHiP struct {
 	srrip  *SRRIP
-	shct   []uint8  // indexed by signature
-	sig    []uint16 // per line: signature that filled it
-	reused []bool   // per line: re-referenced since fill
-	filled []bool   // per line: holds a tracked fill
+	shct   []uint8 // indexed by signature
+	reused []bool  // per line: re-referenced since fill
+	filled []bool  // per line: holds a tracked fill
 }
 
 const (
@@ -27,7 +27,6 @@ func NewSHiP(sets, assoc int) *SHiP {
 	p := &SHiP{
 		srrip:  NewSRRIP(sets, assoc),
 		shct:   make([]uint8, 1<<shctBits),
-		sig:    make([]uint16, n),
 		reused: make([]bool, n),
 		filled: make([]bool, n),
 	}
@@ -55,7 +54,7 @@ func (p *SHiP) Touch(set, way int) {
 	idx := set*p.srrip.assoc + way
 	if p.filled[idx] && !p.reused[idx] {
 		p.reused[idx] = true
-		if s := p.sig[idx]; p.shct[s] < shctMax {
+		if s := p.signature(set); p.shct[s] < shctMax {
 			p.shct[s]++
 		}
 	}
@@ -67,13 +66,10 @@ func (p *SHiP) Touch(set, way int) {
 // counter is zero (predicted dead on arrival), long otherwise.
 func (p *SHiP) Insert(set, way int) {
 	idx := set*p.srrip.assoc + way
-	if p.filled[idx] && !p.reused[idx] {
-		if s := p.sig[idx]; p.shct[s] > 0 {
-			p.shct[s]--
-		}
+	s := p.signature(set) // the occupant's fill signature and the new one
+	if p.filled[idx] && !p.reused[idx] && p.shct[s] > 0 {
+		p.shct[s]--
 	}
-	s := p.signature(set)
-	p.sig[idx] = s
 	p.reused[idx] = false
 	p.filled[idx] = true
 	if p.shct[s] == 0 {
@@ -94,7 +90,6 @@ func (p *SHiP) CopyFrom(src Policy) {
 	q := src.(*SHiP)
 	p.srrip.CopyFrom(q.srrip)
 	copy(p.shct, q.shct)
-	copy(p.sig, q.sig)
 	copy(p.reused, q.reused)
 	copy(p.filled, q.filled)
 }

@@ -155,10 +155,6 @@ func (m *MAPI) Update(core int, pc uint64, _ memaddr.Line, cacheHit bool) {
 	}
 }
 
-// StorageBytesPerCore returns MAP-I's per-core storage cost (96 bytes, as
-// reported in the paper's abstract).
-func (m *MAPI) StorageBytesPerCore() int { return MACTEntries * macBits / 8 }
-
 // ContainsFunc reports whether a line is currently present in the DRAM
 // cache; both oracles below are built on it.
 type ContainsFunc func(memaddr.Line) bool

@@ -102,10 +102,11 @@ func TestMAPIDistinguishesPCs(t *testing.T) {
 	}
 }
 
+// TestMAPIStorage96Bytes pins the MACT geometry to the 96 bytes per core
+// the paper's abstract reports.
 func TestMAPIStorage96Bytes(t *testing.T) {
-	p := NewMAPI(8)
-	if p.StorageBytesPerCore() != 96 {
-		t.Fatalf("MAP-I storage = %d bytes/core, want 96", p.StorageBytesPerCore())
+	if got := MACTEntries * macBits / 8; got != 96 {
+		t.Fatalf("MAP-I storage = %d bytes/core, want 96", got)
 	}
 }
 

@@ -136,7 +136,7 @@ func (s *Server) logw(level slog.Level, msg string, args ...any) {
 
 // serveMetrics are the daemon's own counters. They are written from many
 // HTTP-handler and worker goroutines, so unlike the simulator's
-// single-writer obs.Counter fields they are atomics, exposed through
+// single-writer stats.Counter fields they are atomics, exposed through
 // Func metrics (the registry's read-back-closure idiom).
 type serveMetrics struct {
 	sweeps           atomic.Uint64

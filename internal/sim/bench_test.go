@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"alloysim/internal/obs"
+	"alloysim/internal/stats"
 )
 
 type benchHandler struct{ fired uint64 }
@@ -15,10 +16,11 @@ type benchHandler struct{ fired uint64 }
 func (h *benchHandler) Fire(now Cycle) { h.fired++ }
 
 // meteredBenchHandler is benchHandler with the observability layer in its
-// "enabled but quiet" configuration: a pre-bound counter increments on
-// every fire, and a disabled (nil) tracer is offered each event.
+// "enabled but quiet" configuration: a stats.Counter field — the shape
+// the model's components expose through RegisterCounterFunc — increments
+// on every fire, and a disabled (nil) tracer is offered each event.
 type meteredBenchHandler struct {
-	fired obs.Counter
+	fired stats.Counter
 	trc   *obs.Tracer // nil: sampling off, all methods no-ops
 }
 
@@ -40,22 +42,6 @@ func BenchmarkScheduleHandler(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ScheduleHandler(e.Now()+3, h)
-		e.Step()
-	}
-}
-
-// BenchmarkScheduleClosure measures the legacy closure path for contrast:
-// the node is still pooled, but each closure is a fresh allocation at the
-// call site.
-func BenchmarkScheduleClosure(b *testing.B) {
-	e := NewEngine()
-	var fired uint64
-	e.Schedule(1, func() { fired++ })
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+3, func() { fired++ })
 		e.Step()
 	}
 }

@@ -7,9 +7,8 @@
 // Internally the engine is a hierarchical calendar: a timing wheel of
 // WheelSpan per-cycle FIFO buckets covers the near future [now, now+span),
 // and a min-heap holds the far future. Event nodes are pooled and
-// intrusively linked, so steady-state scheduling performs zero heap
-// allocations — provided the work is expressed as a Handler (a pre-bound
-// receiver) rather than a freshly allocated closure.
+// intrusively linked, and every event is a Handler (a pre-bound receiver),
+// so steady-state scheduling performs zero heap allocations.
 package sim
 
 import (
@@ -22,13 +21,10 @@ import (
 // Cycle is a point in simulated time, measured in processor clock cycles.
 type Cycle uint64
 
-// Event is a unit of work scheduled to run at a particular cycle. Closure
-// values allocate at their creation site; hot paths should prefer Handler.
-type Event func()
-
-// Handler is the allocation-free event form: a pre-bound receiver whose
-// Fire method runs when the event's cycle arrives. Scheduling a Handler
-// through ScheduleHandler/AfterHandler does not allocate in steady state.
+// Handler is a unit of work scheduled to run at a particular cycle: a
+// pre-bound receiver whose Fire method runs when the event's cycle
+// arrives. Scheduling a Handler through ScheduleHandler does not allocate
+// in steady state.
 type Handler interface {
 	Fire(now Cycle)
 }
@@ -50,8 +46,7 @@ const (
 type node struct {
 	at   Cycle
 	seq  uint64
-	fn   Event   // closure form (nil when h is set)
-	h    Handler // pre-bound form (nil when fn is set)
+	h    Handler
 	next *node
 }
 
@@ -85,12 +80,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() uint64 { return e.nSteps }
-
-// Pending returns the number of events waiting to execute.
-func (e *Engine) Pending() int { return e.pending }
-
 func (e *Engine) lazyInit() {
 	if e.wheel == nil {
 		e.wheel = make([]bucket, WheelSpan)
@@ -115,40 +104,18 @@ func (e *Engine) alloc() *node {
 
 //alloyvet:hotpath
 func (e *Engine) release(n *node) {
-	n.fn, n.h = nil, nil // drop references so pooled nodes don't pin work
+	n.h = nil // drop the reference so pooled nodes don't pin work
 	n.next = e.free
 	e.free = n
 }
 
-// Schedule enqueues work to run at the given absolute cycle. Scheduling in
-// the past panics: it indicates a causality bug in the model.
-func (e *Engine) Schedule(at Cycle, work Event) {
-	e.schedule(at, work, nil)
-}
-
-// After enqueues work to run delay cycles from now.
-func (e *Engine) After(delay Cycle, work Event) {
-	e.schedule(e.now+delay, work, nil)
-}
-
-// ScheduleHandler enqueues a pre-bound handler at an absolute cycle. This
-// is the zero-allocation path: the handler is typically a pointer receiver
-// living in the model's own state, and the event node comes from the pool.
+// ScheduleHandler enqueues a pre-bound handler at an absolute cycle. The
+// handler is typically a pointer receiver living in the model's own state,
+// and the event node comes from the pool, so this allocates nothing.
+// Scheduling in the past panics: it indicates a causality bug in the model.
 //
 //alloyvet:hotpath
 func (e *Engine) ScheduleHandler(at Cycle, h Handler) {
-	e.schedule(at, nil, h)
-}
-
-// AfterHandler enqueues a pre-bound handler delay cycles from now.
-//
-//alloyvet:hotpath
-func (e *Engine) AfterHandler(delay Cycle, h Handler) {
-	e.schedule(e.now+delay, nil, h)
-}
-
-//alloyvet:hotpath
-func (e *Engine) schedule(at Cycle, fn Event, h Handler) {
 	if at < e.now {
 		//alloyvet:allow(hotpath) cold branch: a causality bug aborts the run
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now %d", at, e.now))
@@ -156,7 +123,7 @@ func (e *Engine) schedule(at Cycle, fn Event, h Handler) {
 	e.lazyInit()
 	n := e.alloc()
 	e.seq++
-	n.at, n.seq, n.fn, n.h = at, e.seq, fn, h
+	n.at, n.seq, n.h = at, e.seq, h
 	e.pending++
 	if at < e.now+WheelSpan {
 		e.wheelPush(n)
@@ -301,13 +268,9 @@ func (e *Engine) Step() bool {
 	e.now = n.at
 	e.migrate() // the advance may pull far events into the horizon
 	e.nSteps++
-	fn, h := n.fn, n.h
+	h := n.h
 	e.release(n) // recycle before firing: the handler may schedule again
-	if h != nil {
-		h.Fire(e.now)
-	} else {
-		fn()
-	}
+	h.Fire(e.now)
 	return true
 }
 

@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// fnHandler adapts a closure to Handler so tests can express ad-hoc
+// schedules inline; the model schedules pre-bound receivers instead.
+type fnHandler func(now Cycle)
+
+func (f fnHandler) Fire(now Cycle) { f(now) }
+
 func TestEngineZeroValue(t *testing.T) {
 	var e Engine
 	if e.Now() != 0 {
@@ -20,9 +26,9 @@ func TestEngineZeroValue(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.ScheduleHandler(30, fnHandler(func(Cycle) { got = append(got, 3) }))
+	e.ScheduleHandler(10, fnHandler(func(Cycle) { got = append(got, 1) }))
+	e.ScheduleHandler(20, fnHandler(func(Cycle) { got = append(got, 2) }))
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -40,7 +46,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
-		e.Schedule(7, func() { got = append(got, i) })
+		e.ScheduleHandler(7, fnHandler(func(Cycle) { got = append(got, i) }))
 	}
 	e.Run()
 	for i := range got {
@@ -50,28 +56,30 @@ func TestSameCycleFIFO(t *testing.T) {
 	}
 }
 
+// TestAfterRelative schedules from inside an event relative to the cycle
+// the handler is handed: now+25 from cycle 100 fires at 125.
 func TestAfterRelative(t *testing.T) {
 	e := NewEngine()
 	var fired Cycle
-	e.Schedule(100, func() {
-		e.After(25, func() { fired = e.Now() })
-	})
+	e.ScheduleHandler(100, fnHandler(func(now Cycle) {
+		e.ScheduleHandler(now+25, fnHandler(func(Cycle) { fired = e.Now() }))
+	}))
 	e.Run()
 	if fired != 125 {
-		t.Fatalf("After(25) from cycle 100 fired at %d, want 125", fired)
+		t.Fatalf("now+25 from cycle 100 fired at %d, want 125", fired)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	e.ScheduleHandler(10, fnHandler(func(Cycle) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(5, func() {})
-	})
+		e.ScheduleHandler(5, fnHandler(func(Cycle) {}))
+	}))
 	e.Run()
 }
 
@@ -79,7 +87,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for _, c := range []Cycle{5, 10, 15, 20} {
-		e.Schedule(c, func() { count++ })
+		e.ScheduleHandler(c, fnHandler(func(Cycle) { count++ }))
 	}
 	if e.RunUntil(12) {
 		t.Fatal("RunUntil(12) claimed the queue drained")
@@ -98,14 +106,14 @@ func TestRunUntil(t *testing.T) {
 func TestCascadedScheduling(t *testing.T) {
 	e := NewEngine()
 	depth := 0
-	var recurse func()
-	recurse = func() {
+	var recurse fnHandler
+	recurse = func(now Cycle) {
 		if depth < 1000 {
 			depth++
-			e.After(1, recurse)
+			e.ScheduleHandler(now+1, recurse)
 		}
 	}
-	e.Schedule(0, recurse)
+	e.ScheduleHandler(0, recurse)
 	e.Run()
 	if depth != 1000 {
 		t.Fatalf("cascade depth %d, want 1000", depth)
@@ -113,8 +121,8 @@ func TestCascadedScheduling(t *testing.T) {
 	if e.Now() != 1000 {
 		t.Fatalf("Now = %d, want 1000", e.Now())
 	}
-	if e.Steps() != 1001 {
-		t.Fatalf("Steps = %d, want 1001", e.Steps())
+	if e.nSteps != 1001 {
+		t.Fatalf("steps = %d, want 1001", e.nSteps)
 	}
 }
 
@@ -129,7 +137,7 @@ func TestHeapPropertyRandom(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := Cycle(rng.Intn(10000))
 		want = append(want, c)
-		e.Schedule(c, func() { times = append(times, e.Now()) })
+		e.ScheduleHandler(c, fnHandler(func(Cycle) { times = append(times, e.Now()) }))
 	}
 	e.Run()
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -155,7 +163,7 @@ func TestQuickOrdering(t *testing.T) {
 			if c > max {
 				max = c
 			}
-			e.Schedule(c, func() { fired = append(fired, e.Now()) })
+			e.ScheduleHandler(c, fnHandler(func(Cycle) { fired = append(fired, e.Now()) }))
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {
@@ -178,12 +186,12 @@ func TestWheelHeapBoundaryFIFO(t *testing.T) {
 	e := NewEngine()
 	target := Cycle(WheelSpan + 100)
 	var got []int
-	e.Schedule(target, func() { got = append(got, 0) }) // heap: 0+span <= target
-	e.Schedule(200, func() {
+	e.ScheduleHandler(target, fnHandler(func(Cycle) { got = append(got, 0) })) // heap: 0+span <= target
+	e.ScheduleHandler(200, fnHandler(func(Cycle) {
 		// now = 200: target is inside [200, 200+span) → wheel.
-		e.Schedule(target, func() { got = append(got, 2) })
-	})
-	e.Schedule(target, func() { got = append(got, 1) }) // heap again
+		e.ScheduleHandler(target, fnHandler(func(Cycle) { got = append(got, 2) }))
+	}))
+	e.ScheduleHandler(target, fnHandler(func(Cycle) { got = append(got, 1) })) // heap again
 	e.Run()
 	want := []int{0, 1, 2}
 	for i := range want {
@@ -201,7 +209,7 @@ func TestSameCycleFIFOAfterMigration(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(target, func() { got = append(got, i) })
+		e.ScheduleHandler(target, fnHandler(func(Cycle) { got = append(got, i) }))
 	}
 	e.Run()
 	for i := range got {
@@ -220,8 +228,8 @@ func TestRunUntilExactLimit(t *testing.T) {
 	for _, limit := range []Cycle{10, WheelSpan + 10} {
 		e := NewEngine()
 		var atLimit, past bool
-		e.Schedule(limit, func() { atLimit = true })
-		e.Schedule(limit+1, func() { past = true })
+		e.ScheduleHandler(limit, fnHandler(func(Cycle) { atLimit = true }))
+		e.ScheduleHandler(limit+1, fnHandler(func(Cycle) { past = true }))
 		if e.RunUntil(limit) {
 			t.Fatalf("limit %d: RunUntil claimed drain with an event pending", limit)
 		}
@@ -245,11 +253,11 @@ func TestRunUntilExactLimit(t *testing.T) {
 func TestScheduleAtNowInsideEvent(t *testing.T) {
 	e := NewEngine()
 	var got []string
-	e.Schedule(10, func() {
+	e.ScheduleHandler(10, fnHandler(func(Cycle) {
 		got = append(got, "a")
-		e.Schedule(e.Now(), func() { got = append(got, "c") })
-	})
-	e.Schedule(10, func() { got = append(got, "b") })
+		e.ScheduleHandler(e.Now(), fnHandler(func(Cycle) { got = append(got, "c") }))
+	}))
+	e.ScheduleHandler(10, fnHandler(func(Cycle) { got = append(got, "b") }))
 	e.Run()
 	if want := "abc"; len(got) != 3 || got[0]+got[1]+got[2] != want {
 		t.Fatalf("same-cycle self-schedule order %v, want a b c", got)
@@ -260,7 +268,8 @@ func TestScheduleAtNowInsideEvent(t *testing.T) {
 }
 
 // TestDeterminismTwinEngines drives two engines with an identical
-// self-expanding schedule and requires identical firing traces and Steps.
+// self-expanding schedule and requires identical firing traces and step
+// counts.
 func TestDeterminismTwinEngines(t *testing.T) {
 	trace := func() ([]Cycle, uint64) {
 		e := NewEngine()
@@ -272,24 +281,24 @@ func TestDeterminismTwinEngines(t *testing.T) {
 			state ^= state << 17
 			return state
 		}
-		var spawn func(depth int) func()
-		spawn = func(depth int) func() {
-			return func() {
+		var spawn func(depth int) fnHandler
+		spawn = func(depth int) fnHandler {
+			return func(Cycle) {
 				fired = append(fired, e.Now())
 				if depth >= 6 {
 					return
 				}
 				n := int(next() % 3)
 				for i := 0; i < n; i++ {
-					e.After(Cycle(next()%(2*WheelSpan)), spawn(depth+1))
+					e.ScheduleHandler(e.Now()+Cycle(next()%(2*WheelSpan)), spawn(depth+1))
 				}
 			}
 		}
 		for i := 0; i < 50; i++ {
-			e.Schedule(Cycle(next()%500), spawn(0))
+			e.ScheduleHandler(Cycle(next()%500), spawn(0))
 		}
 		e.Run()
-		return fired, e.Steps()
+		return fired, e.nSteps
 	}
 	f1, s1 := trace()
 	f2, s2 := trace()
@@ -335,13 +344,13 @@ func TestScheduleHandlerZeroAlloc(t *testing.T) {
 
 func TestPendingCount(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	e.ScheduleHandler(1, fnHandler(func(Cycle) {}))
+	e.ScheduleHandler(2, fnHandler(func(Cycle) {}))
+	if e.pending != 2 {
+		t.Fatalf("pending = %d, want 2", e.pending)
 	}
 	e.Step()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after one step = %d, want 1", e.Pending())
+	if e.pending != 1 {
+		t.Fatalf("pending after one step = %d, want 1", e.pending)
 	}
 }

@@ -30,7 +30,7 @@ func mustPanic(t *testing.T, substr string, f func()) {
 
 func TestWheelBitmapCorruptionPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(20, func() {})
+	e.ScheduleHandler(20, fnHandler(func(Cycle) {}))
 	// Phantom occupancy: slot 5's bit claims an event the bucket doesn't
 	// hold. Without the check, popNext would dereference a nil head.
 	e.occ[0] |= 1 << 5
@@ -39,11 +39,11 @@ func TestWheelBitmapCorruptionPanics(t *testing.T) {
 
 func TestStepMonotonicityViolationPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleHandler(10, fnHandler(func(Cycle) {}))
 	if !e.Step() {
 		t.Fatal("first event did not execute")
 	}
-	e.Schedule(15, func() {})
+	e.ScheduleHandler(15, fnHandler(func(Cycle) {}))
 	// Rewind the pending node behind the clock: per-Step monotonicity is
 	// the property every model's latency arithmetic rests on.
 	e.wheel[15&wheelMask].head.at = 5

@@ -230,7 +230,8 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 		}
 		// obs.Registry method? Registry lookups hash the metric name and
 		// consult a map — fine at setup, hostile per event. Hot paths must
-		// hoist the *obs.Counter/*obs.Gauge into a struct field instead.
+		// bump their own stats.Counter field instead, registered once at
+		// setup through RegisterCounterFunc.
 		if obj, ok := info.Uses[sel.Sel].(*types.Func); ok && isRegistryMethod(obj) {
 			c.report(call.Pos(), "obs.Registry.%s is a registry lookup; hoist the metric into a struct field at setup", obj.Name())
 			return

@@ -88,19 +88,24 @@ func Allowed(n int) []byte {
 	return make([]byte, n) //alloyvet:allow(hotpath) cold init path
 }
 
-// Metered consults the metrics registry per event instead of hoisting the
-// counter at setup: a map lookup plus validation on every call.
+// Metered consults the metrics registry per event instead of keeping the
+// count in a field: a map lookup on every call.
 //
 //alloyvet:hotpath
-func Metered(r *obs.Registry) {
-	r.Counter("events_total", "events").Inc() // want `obs.Registry.Counter is a registry lookup; hoist the metric into a struct field at setup`
+func Metered(r *obs.Registry) bool {
+	_, ok := r.Value("events_total") // want `obs.Registry.Value is a registry lookup; hoist the metric into a struct field at setup`
+	return ok
 }
 
-// Hoisted increments a pre-bound counter: the blessed pattern, silent.
+// events is a component's own counter field, registered once at setup
+// through a read-back closure.
+type events struct{ n uint64 }
+
+// Hoisted increments that field: the blessed pattern, silent.
 //
 //alloyvet:hotpath
-func Hoisted(c *obs.Counter) {
-	c.Inc()
+func Hoisted(e *events) {
+	e.n++
 }
 
 // sampler is NOT an obs type: a method named Sample on it is ordinary
@@ -114,6 +119,6 @@ func (s *sampler) Sample(v uint64) {
 // Cold is not annotated: the same constructs are legal here.
 func Cold(n int) string {
 	_ = make([]byte, n)
-	_ = (&obs.Registry{}).Counter("setup_total", "registration at setup is fine")
+	(&obs.Registry{}).RegisterCounterFunc("setup_total", "registration at setup is fine", nil)
 	return fmt.Sprintf("n=%d", n)
 }

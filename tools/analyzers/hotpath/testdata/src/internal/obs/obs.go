@@ -3,13 +3,11 @@
 // name and the Registry type, not by import path.
 package obs
 
-type Counter struct{ v uint64 }
-
-func (c *Counter) Inc() { c.v++ }
-
 type Registry struct{ byName map[string]int }
 
-func (r *Registry) Counter(name, help string) *Counter { return &Counter{} }
+func (r *Registry) RegisterCounterFunc(name, help string, fn func() uint64) {}
+
+func (r *Registry) Value(name string) (float64, bool) { return 0, false }
 
 // TimeSeries and FlightRecorder mirror the real phase-telemetry sinks.
 // Their Sample methods are implicitly hot — the analyzer checks them with
