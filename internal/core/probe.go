@@ -18,7 +18,7 @@ import (
 // measured latency is the simulator's own arithmetic, not a reimplementation.
 type LatencyProbe struct {
 	s   *System
-	res dramcache.AccessResult // scratch for priming accesses, discarded
+	res dramcache.AccessResult // scratch for TouchLine, discarded
 }
 
 // Probe converts a freshly built System into a latency probe. It consumes
@@ -31,12 +31,11 @@ func (s *System) Probe() (*LatencyProbe, error) {
 	return &LatencyProbe{s: s}, nil
 }
 
-// InstallLine places a line into the DRAM-cache contents at time zero
-// (allocate-on-miss, exactly like warmup), without touching off-chip
-// state. Call ResetTiming afterwards to discard the timing side effects.
+// InstallLine places a line into the DRAM-cache contents
+// (allocate-on-miss, exactly like warmup), without touching either DRAM.
 func (p *LatencyProbe) InstallLine(line memaddr.Line) {
 	if p.s.org != nil {
-		p.s.org.AccessInto(0, line, false, &p.res)
+		p.s.org.WarmAccess(line, false)
 	}
 }
 
@@ -52,17 +51,6 @@ func (p *LatencyProbe) TouchLine(now sim.Cycle, line memaddr.Line) {
 // leaving its row open (until the idle-close timeout).
 func (p *LatencyProbe) OpenMemRow(now sim.Cycle, line memaddr.Line) {
 	p.s.mem.AccessLine(now, line, false)
-}
-
-// ResetTiming closes every row and clears all bank, bus, and statistics
-// state in both DRAMs, while keeping cache contents. It is the probe's
-// analogue of the post-warmup reset: contents stay warm, clocks go cold.
-func (p *LatencyProbe) ResetTiming() {
-	p.s.mem.Reset()
-	p.s.stacked.Reset()
-	if p.s.org != nil {
-		p.s.org.ResetStats()
-	}
 }
 
 // Contains reports whether the DRAM cache holds the line (side-effect

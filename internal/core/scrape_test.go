@@ -40,7 +40,15 @@ func TestMetricsScrapeDuringSystemRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The scrapers share one transport the test owns. A request racing
+	// another can make the transport dial a connection that no request
+	// ever uses; Shutdown treats such a never-used connection as active
+	// for 5 s (the whole Close deadline below), so the idle pool is closed
+	// before the server is.
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
 	defer func() {
+		tr.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := ds.Close(ctx); err != nil {
@@ -62,7 +70,7 @@ func TestMetricsScrapeDuringSystemRun(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(base + "/metrics")
+				resp, err := client.Get(base + "/metrics")
 				if err != nil {
 					t.Errorf("scraper %d: %v", i, err)
 					return
@@ -93,7 +101,7 @@ func TestMetricsScrapeDuringSystemRun(t *testing.T) {
 
 	// The final snapshot (published before collect) reflects the finished
 	// run: the engine advanced and the exposed counter shows it.
-	resp, err := http.Get(base + "/metrics.json")
+	resp, err := client.Get(base + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}

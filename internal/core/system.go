@@ -8,6 +8,7 @@ import (
 	"alloysim/internal/cpu"
 	"alloysim/internal/dram"
 	"alloysim/internal/dramcache"
+	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
 	"alloysim/internal/obs"
 	"alloysim/internal/predictor"
@@ -80,8 +81,8 @@ type System struct {
 	// escapes through the interface call and costs one heap allocation
 	// per access, so the demand path writes into these fields instead.
 	// readBelow and writeBelow never nest (fills go through the engine
-	// and call Fill, not AccessInto), so each needs only one; warm, which
-	// discards access timing, reuses writeRes.
+	// and call Fill, not AccessInto), so each needs only one. warm needs
+	// none: it calls WarmAccess, which has no result.
 	readRes  dramcache.AccessResult
 	writeRes dramcache.AccessResult
 
@@ -315,9 +316,11 @@ func (s *System) publishMetrics() {
 }
 
 // warm streams WarmupRefs references per core through the cache contents
-// without advancing time, then clears all timing state and statistics so
-// measurement starts from warm contents and cold clocks. It checks ctx
-// periodically so long warmups cancel as promptly as the measured phase.
+// without advancing time, then clears all statistics so measurement
+// starts from warm contents and cold clocks. The organization warms
+// through WarmAccess, its contents-only path, so neither DRAM device is
+// touched before the measured phase. It checks ctx periodically so long
+// warmups cancel as promptly as the measured phase.
 //
 // The front-end always runs: the generators (and any private L2) must
 // reach their post-warm-up state. The L3 step is live (warmL3), or, when
@@ -328,7 +331,6 @@ func (s *System) publishMetrics() {
 //
 //alloyvet:hotpath
 func (s *System) warm(ctx context.Context) error {
-	wr := &s.writeRes // scratch: warmup discards access timing
 	tape := &s.tape
 	for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
 		if n&0xfff == 0 {
@@ -355,10 +357,10 @@ func (s *System) warm(ctx context.Context) error {
 			}
 			switch op {
 			case warmVictimAccess:
-				s.org.AccessInto(0, victim, true, wr)
-				s.org.AccessInto(0, ref.Line, false, wr)
+				s.org.WarmAccess(victim, true)
+				s.org.WarmAccess(ref.Line, false)
 			case warmAccess:
-				s.org.AccessInto(0, ref.Line, ref.Write, wr)
+				s.org.WarmAccess(ref.Line, ref.Write)
 			}
 		}
 	}
@@ -367,8 +369,9 @@ func (s *System) warm(ctx context.Context) error {
 			return err
 		}
 	}
-	s.mem.Reset()
-	s.stacked.Reset()
+	if invariants.Enabled && (s.mem.Stats() != dram.Stats{} || s.stacked.Stats() != dram.Stats{}) {
+		invariants.Failf("core: warm-up touched DRAM timing (off-chip %+v, stacked %+v)", s.mem.Stats(), s.stacked.Stats())
+	}
 	s.l3.ResetStats()
 	for _, l2 := range s.l2 {
 		l2.ResetStats()

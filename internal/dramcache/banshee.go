@@ -106,27 +106,46 @@ func (b *Banshee) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 		r.Probed = true
 	} else if !write {
-		idx := b.freqIndex(line)
-		c := b.freq[idx]
-		if c < bansheeFreqMax {
-			c++
-			b.freq[idx] = c
-		}
-		if c >= b.threshold {
-			r.Victim = b.tags.Fill(line, false)
-			r.Allocated = true
-			b.admitted.Inc()
-			if invariants.Enabled && !b.tags.Contains(line) {
-				invariants.Failf("dramcache: Banshee admitted line %d but contents do not hold it", line)
-			}
-		} else {
-			b.bypassed.Inc()
-			if invariants.Enabled && b.tags.Contains(line) {
-				invariants.Failf("dramcache: Banshee bypassed line %d that is already resident", line)
-			}
-		}
+		r.Victim, r.Allocated = b.filterMiss(line)
 	}
 	b.observe(r, now)
+}
+
+// WarmAccess implements Organization: the tag probe and, on a read miss,
+// the fill filter, exactly as AccessInto applies them.
+//
+//alloyvet:hotpath
+func (b *Banshee) WarmAccess(line memaddr.Line, write bool) {
+	if !b.tags.Probe(line, write) && !write {
+		b.filterMiss(line)
+	}
+}
+
+// filterMiss runs a read miss through the fill filter: it bumps the
+// page's counter and installs the line once the counter reaches the
+// admission threshold, reporting the victim and whether it installed.
+//
+//alloyvet:hotpath
+func (b *Banshee) filterMiss(line memaddr.Line) (victim cache.Eviction, admitted bool) {
+	idx := b.freqIndex(line)
+	c := b.freq[idx]
+	if c < bansheeFreqMax {
+		c++
+		b.freq[idx] = c
+	}
+	if c < b.threshold {
+		b.bypassed.Inc()
+		if invariants.Enabled && b.tags.Contains(line) {
+			invariants.Failf("dramcache: Banshee bypassed line %d that is already resident", line)
+		}
+		return cache.Eviction{}, false
+	}
+	victim = b.tags.Fill(line, false)
+	b.admitted.Inc()
+	if invariants.Enabled && !b.tags.Contains(line) {
+		invariants.Failf("dramcache: Banshee admitted line %d but contents do not hold it", line)
+	}
+	return victim, true
 }
 
 // Fill implements Organization: one line write; tags live on-chip, so no

@@ -188,7 +188,7 @@ func TestResetStatsClearsOrganization(t *testing.T) {
 	if o.TagStats().Accesses() != 0 {
 		t.Fatal("tag stats survived reset")
 	}
-	if o.HitLatencyMean() != 0 {
+	if hitLatencyMean(t, o) != 0 {
 		t.Fatal("hit latency survived reset")
 	}
 	if !o.Contains(9) {

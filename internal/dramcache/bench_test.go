@@ -51,3 +51,38 @@ func BenchmarkOrg(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOrgWarm measures one warm-up reference to each registered
+// organization through WarmAccess, its contents-only path, on the same
+// mcf_r stream and capacity as BenchmarkOrg. The stream runs through
+// once before timing, so the timed loop sees warm contents.
+// Steady state must be 0 allocs/op.
+func BenchmarkOrgWarm(b *testing.B) {
+	prof, ok := trace.ByName("mcf_r")
+	if !ok {
+		b.Fatal("no mcf_r profile")
+	}
+	refs := trace.Capture(prof.MustBuild(1, 64, 0), 1<<16)
+	mask := len(refs) - 1
+	for _, name := range Names() {
+		b.Run(name, func(b *testing.B) {
+			org, err := Build(name, Params{
+				CapacityBytes: (256 << 20) / 64,
+				Stacked:       dram.MustNew(dram.StackedConfig()),
+				Seed:          SeedFor(name, ""),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range refs {
+				org.WarmAccess(r.Line, r.Write)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := &refs[i&mask]
+				org.WarmAccess(r.Line, r.Write)
+			}
+		})
+	}
+}

@@ -15,7 +15,8 @@
 // (internal/cache) and charges all its DRAM traffic — tag reads, data
 // bursts, replacement updates, fills — to the shared stacked-DRAM device
 // (internal/dram), so bandwidth contention between designs' flows emerges
-// structurally, exactly the effect Table 4 quantifies.
+// structurally, exactly the effect Table 4 quantifies. WarmAccess runs the
+// contents model alone, for warm-up.
 package dramcache
 
 import (
@@ -83,6 +84,14 @@ type Organization interface {
 	// heap allocation per access (core.System keeps its scratch results
 	// as fields for this reason).
 	AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult)
+	// WarmAccess is the contents half of AccessInto: the same tag-store,
+	// replacement, filter and steering updates in the same order, with no
+	// stacked-DRAM traffic and no AccessResult. It records no access,
+	// row-locality or hit-latency statistics; the tag and filter counters
+	// it moves are cleared by ResetStats. Warm-up and validation priming
+	// use it: they keep contents and discard timing, and no design's
+	// contents decision reads timing.
+	WarmAccess(line memaddr.Line, write bool)
 	// Fill models the DRAM traffic of installing a line after its memory
 	// response arrives at cycle now. Contents were already reserved by the
 	// missing AccessInto; Fill only charges the write traffic.
@@ -92,9 +101,6 @@ type Organization interface {
 	Contains(line memaddr.Line) bool
 	// TagStats exposes hit/miss counters.
 	TagStats() cache.Stats
-	// HitLatencyMean is the mean cache-internal hit latency in cycles
-	// (excludes predictor/MissMap serialization, which the system adds).
-	HitLatencyMean() float64
 	// CapacityBytes is the data capacity of the organization.
 	CapacityBytes() uint64
 	// ResetStats zeroes counters while keeping contents; separates warmup
@@ -127,8 +133,20 @@ func (b *base) ResetStats() {
 	b.rowHits = stats.Counter{}
 	b.accs = stats.Counter{}
 }
-func (b *base) TagStats() cache.Stats   { return b.tags.Stats() }
-func (b *base) HitLatencyMean() float64 { return b.hitLat.Value() }
+func (b *base) TagStats() cache.Stats { return b.tags.Stats() }
+
+// WarmAccess implements Organization for the designs whose contents are
+// one tag store (SRAM-Tag, LH-Cache, Alloy, IDEAL-LO, TDRAM): a write
+// probes (a miss does not allocate), a read accesses (a miss allocates).
+//
+//alloyvet:hotpath
+func (b *base) WarmAccess(line memaddr.Line, write bool) {
+	if write {
+		b.tags.Probe(line, true)
+		return
+	}
+	b.tags.Access(line, false)
+}
 
 // observe records the outcome of a demand access.
 //

@@ -5,6 +5,7 @@ import (
 
 	"alloysim/internal/dram"
 	"alloysim/internal/memaddr"
+	"alloysim/internal/obs"
 )
 
 const testCap = 4 << 20 // 4 MB keeps tag arrays small in tests
@@ -17,6 +18,19 @@ func access(o Organization, now Cycle, line memaddr.Line, write bool) AccessResu
 	var r AccessResult
 	o.AccessInto(now, line, write, &r)
 	return r
+}
+
+// hitLatencyMean reads the organization's exported mean hit latency, the
+// *_hit_latency_mean_cycles gauge.
+func hitLatencyMean(t *testing.T, o Organization) float64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	o.RegisterMetrics(reg, "dc")
+	v, ok := reg.Value("dc_hit_latency_mean_cycles")
+	if !ok {
+		t.Fatalf("%s: no hit-latency gauge registered", o.Name())
+	}
+	return v
 }
 
 // fill inserts a line so a later access hits.
@@ -346,7 +360,7 @@ func TestHitLatencyMeanAccumulates(t *testing.T) {
 	o, _ := NewAlloy(testCap, stacked())
 	fillLine(t, o, 5)
 	access(o, 10000, 5, false)
-	if o.HitLatencyMean() <= 0 {
+	if hitLatencyMean(t, o) <= 0 {
 		t.Fatal("hit latency mean not recorded")
 	}
 	if o.TagStats().Hits != 1 {

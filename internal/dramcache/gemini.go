@@ -220,38 +220,72 @@ func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessR
 	r.TagKnown = tagKnown
 
 	if write {
-		// Forwarded to memory; count the write miss against the region the
-		// line would install into.
+		g.missContents(line, true, saFirst)
+		g.observe(r, now)
+		return
+	}
+	if invariants.Enabled {
+		g.inflight[line]++
+	}
+	r.Victim, r.Allocated = g.missContents(line, false, saFirst), true
+	g.observe(r, now)
+}
+
+// WarmAccess implements Organization: the region lookups, the hit's
+// replacement update and steering training, or the miss's install in the
+// steered region, in AccessInto's order. It reserves no in-flight fill:
+// warm-up never calls Fill.
+//
+//alloyvet:hotpath
+func (g *Gemini) WarmAccess(line memaddr.Line, write bool) {
+	inDM := g.dm.Contains(line)
+	inSA := g.sa.Contains(line)
+	if invariants.Enabled && inDM && inSA {
+		invariants.Failf("dramcache: Gemini line %d resident in both regions", line)
+	}
+	if inDM || inSA {
+		if inSA {
+			g.sa.Probe(line, write)
+		} else {
+			g.dm.Probe(line, write)
+		}
+		g.trainToward(line, inSA)
+		return
+	}
+	g.missContents(line, write, g.steer[g.steerIndex(line)] >= 2)
+}
+
+// missContents applies a miss to the region the steering predictor
+// favors. A write miss is forwarded to memory and only counted against
+// that region. A read miss installs the line there and returns the
+// victim; a direct-mapped conflict victim is steered toward
+// associativity for next time.
+//
+//alloyvet:hotpath
+func (g *Gemini) missContents(line memaddr.Line, write, saFirst bool) cache.Eviction {
+	if write {
 		if saFirst {
 			g.sa.Probe(line, true)
 		} else {
 			g.dm.Probe(line, true)
 		}
-		g.observe(r, now)
-		return
-	}
-	var ev cache.Eviction
-	if invariants.Enabled {
-		g.inflight[line]++
+		return cache.Eviction{}
 	}
 	if saFirst {
-		_, ev = g.sa.Access(line, false)
+		_, ev := g.sa.Access(line, false)
 		if invariants.Enabled && !g.sa.Contains(line) {
 			invariants.Failf("dramcache: Gemini SA install of line %d did not take", line)
 		}
-	} else {
-		_, ev = g.dm.Access(line, false)
-		if invariants.Enabled && !g.dm.Contains(line) {
-			invariants.Failf("dramcache: Gemini DM install of line %d did not take", line)
-		}
-		if ev.Valid {
-			// A direct-mapped conflict evicted the victim: next time, steer
-			// the victim toward associativity.
-			g.trainToward(ev.Line, true)
-		}
+		return ev
 	}
-	r.Victim, r.Allocated = ev, true
-	g.observe(r, now)
+	_, ev := g.dm.Access(line, false)
+	if invariants.Enabled && !g.dm.Contains(line) {
+		invariants.Failf("dramcache: Gemini DM install of line %d did not take", line)
+	}
+	if ev.Valid {
+		g.trainToward(ev.Line, true)
+	}
+	return ev
 }
 
 // hitIn models the data movement of a hit in the owning region, starting

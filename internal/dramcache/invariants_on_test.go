@@ -13,6 +13,8 @@ import (
 
 	"alloysim/internal/dram"
 	"alloysim/internal/memaddr"
+	"alloysim/internal/policy"
+	"alloysim/internal/trace"
 )
 
 func mustPanicInv(t *testing.T, substr string, f func()) {
@@ -131,6 +133,42 @@ func TestGeminiFillAfterInflightEviction(t *testing.T) {
 	g.Fill(0, a)
 	g.Fill(0, b)
 	mustPanicInv(t, "no miss reserved", func() { g.Fill(0, a) })
+}
+
+// TestGeminiWarmReservesNothing: warm-up never fills, so a warm-up
+// through WarmAccess must leave no in-flight reservation behind, under
+// every SA-region policy. A stale one would let a measured fill that no
+// measured miss reserved pass the reservation check. The same stream
+// through AccessInto reserves a frame per read miss.
+func TestGeminiWarmReservesNothing(t *testing.T) {
+	prof, ok := trace.ByName("mcf_r")
+	if !ok {
+		t.Fatal("no mcf_r profile")
+	}
+	refs := trace.Capture(prof.MustBuild(1, 64, 0), 12_000)
+	for _, pol := range policy.Known() {
+		build := func() *Gemini {
+			g, err := NewGemini((256<<20)/64, dram.MustNew(dram.StackedConfig()), GeminiWithPolicy(pol), GeminiWithSeed(SeedFor("gemini", pol)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		warmed, live := build(), build()
+		for _, r := range refs {
+			warmed.WarmAccess(r.Line, r.Write)
+			access(live, 0, r.Line, r.Write)
+		}
+		if n := len(warmed.inflight); n != 0 {
+			t.Errorf("%s: WarmAccess left %d in-flight reservations", pol, n)
+		}
+		if len(live.inflight) == 0 {
+			t.Errorf("%s: AccessInto reserved nothing; the stream has no read misses", pol)
+		}
+		if warmed.TagStats().Misses == 0 || warmed.sa.Stats().Accesses() == 0 {
+			t.Errorf("%s: warm-up installed nothing in the SA region (stats %+v)", pol, warmed.sa.Stats())
+		}
+	}
 }
 
 func TestZooLegalAccessDoesNotPanic(t *testing.T) {

@@ -214,13 +214,11 @@ func MeasureLatency(p Pair, c Class) (float64, error) {
 		probe.InstallLine(probeLine)
 	}
 	if c.isOpen() {
+		// Re-reading the installed neighbor opens its stacked row: the
+		// probe line's own row for the row-organized designs, an unrelated
+		// one for the set-per-row designs. Then open the probe line's
+		// off-chip row.
 		probe.InstallLine(probeNeighbor)
-	}
-	probe.ResetTiming()
-	if c.isOpen() {
-		// Re-reading the neighbor opens its stacked row: the probe line's
-		// own row for the row-organized designs, an unrelated one for the
-		// set-per-row designs. Then open the probe line's off-chip row.
 		probe.TouchLine(0, probeNeighbor)
 		probe.OpenMemRow(0, probeLine)
 	}
